@@ -1,24 +1,14 @@
-"""Worker-pool sizing shared by the sampled checks and the sweep driver."""
+"""Worker count reported in benchmark machine records."""
 from __future__ import annotations
-
-import os
 
 __all__ = ["worker_count"]
 
-ENV_THREADS = "COLLAPSE_LAB_THREADS"
-
 
 def worker_count() -> int:
-    """Parallelism cap: COLLAPSE_LAB_THREADS if set, else cpu count (max 8).
+    """Always 1: the hypothesis audit runs its samples serially.
 
-    Results never depend on this value; work is partitioned up front and
-    merged in task order.
+    A thread pool over samples measured slower than the serial loop on a
+    2-core box, so it was removed.  The function stays because benchmark
+    machine records report it.
     """
-    raw = os.environ.get(ENV_THREADS)
-    if raw is not None:
-        try:
-            n = int(raw)
-        except ValueError:
-            n = 1
-        return max(1, n)
-    return max(1, min(os.cpu_count() or 1, 8))
+    return 1

@@ -25,7 +25,10 @@ from .core import (
     HermitianOperator,
     PreconditionError,
     SpectralTripleModel,
-    _raw,
+    _dense,
+    _max_abs,
+    _sum,
+    _view,
     commutator,
     hermitian_spectrum,
     op_norm,
@@ -285,25 +288,16 @@ class DecomposedTripleModel:
         """The collapse family member d_h + d_v / eps as a raw operator."""
         if eps <= 0:
             raise PreconditionError("eps must be positive")
-        dh, dv = _raw(self.d_h), _raw(self.d_v)
-        if isinstance(dh, BlockDiagonalOperator) and isinstance(dv, BlockDiagonalOperator):
-            return dh.add(dv.scaled(1.0 / eps))
-        if isinstance(dh, BlockDiagonalOperator):
-            dh = dh.to_dense()
-        if isinstance(dv, BlockDiagonalOperator):
-            dv = dv.to_dense()
-        return dh + dv / eps
+        return _sum(self.d_h, self.d_v, eps)
 
     def self_check(self, check_base_commutation: bool = True) -> None:
         """Structural invariants; PreconditionError on violation."""
-        dh, dv = _raw(self.d_h), _raw(self.d_v)
-        total_d = _raw(self.total.dirac)
+        dv = self.d_v
         dim = self.total.hilbert_dim
-        if operator_dim(dh) != dim or operator_dim(dv) != dim:
+        if operator_dim(self.d_h) != dim or operator_dim(dv) != dim:
             raise PreconditionError("Dirac summand dimension mismatch")
-        split = self.dirac_at(1.0)
-        defect = _sup_entry_distance(split, total_d)
-        if defect > 1e-12 * max(1.0, _sup_entry_scale(total_d)):
+        defect = _max_abs(_sum(self.dirac_at(1.0), self.total.dirac, -1.0))
+        if defect > 1e-12 * max(1.0, _max_abs(self.total.dirac)):
             raise PreconditionError(
                 f"d_h + d_v does not reproduce the total Dirac (defect {defect:.3e})")
         nb = self.base_coefficients.shape
@@ -316,14 +310,15 @@ class DecomposedTripleModel:
         fix = em @ self.base_coefficients - self.base_coefficients
         if np.linalg.norm(fix) > 1e-9 * max(1.0, np.linalg.norm(self.base_coefficients)):
             raise PreconditionError("expectation does not fix the base subalgebra")
-        if check_base_commutation:
-            for b in self.base_basis():
-                c = op_norm(commutator(dv, _raw(b.matrix)))
-                if c > 1e-10 * max(1.0, op_norm(dv)):
-                    raise PreconditionError(
-                        f"base element fails to commute with d_v (norm {c:.3e})")
+        # max |eigenvalue| of d_v is its norm: one eigensolve serves both checks
         spec_v = hermitian_spectrum(dv)
         scale = max(1.0, float(np.max(np.abs(spec_v))))
+        if check_base_commutation:
+            for b in self.base_basis():
+                c = op_norm(commutator(dv, b.matrix))
+                if c > 1e-10 * scale:
+                    raise PreconditionError(
+                        f"base element fails to commute with d_v (norm {c:.3e})")
         nonzero = np.abs(spec_v) > 1e-9 * scale
         if not np.any(~nonzero):
             raise PreconditionError("d_v has no kernel")
@@ -344,53 +339,25 @@ class DecomposedTripleModel:
             raise PreconditionError("kernel indices do not annihilate d_v")
 
 
-def _sup_entry_scale(op) -> float:
-    if isinstance(op, BlockDiagonalOperator):
-        return float(np.max(np.abs(op.blocks))) if op.blocks.size else 0.0
-    return float(np.max(np.abs(op))) if op.size else 0.0
-
-
-def _sup_entry_distance(a, b) -> float:
-    """Largest entrywise deviation between two operators of equal dimension."""
-    if isinstance(a, BlockDiagonalOperator) and isinstance(b, BlockDiagonalOperator):
-        if np.array_equal(a.index_blocks, b.index_blocks):
-            return float(np.max(np.abs(a.full_blocks() - b.full_blocks())))
-        a, b = a.to_dense(), b.to_dense()
-    else:
-        if isinstance(a, BlockDiagonalOperator):
-            a = a.to_dense()
-        if isinstance(b, BlockDiagonalOperator):
-            b = b.to_dense()
-    return float(np.max(np.abs(a - b)))
-
-
 def _zero_eigenvector_indices(dv, gap: float) -> np.ndarray:
     """Coordinate indices with vanishing d_v column (and row, by symmetry)."""
-    if isinstance(dv, BlockDiagonalOperator):
-        full = dv.full_blocks()
-        col = np.sqrt(np.sum(np.abs(full) ** 2, axis=1))  # (nb, bd) column norms
-        scale = max(1.0, float(np.max(np.abs(full)))) if full.size else 1.0
-        mask = col <= 1e-9 * max(scale, gap)
-        out = dv.index_blocks[mask]
-        return np.sort(out)
-    col = np.sqrt(np.sum(np.abs(dv) ** 2, axis=0))
-    scale = max(1.0, float(np.max(np.abs(dv)))) if dv.size else 1.0
-    return np.flatnonzero(col <= 1e-9 * max(scale, gap))
+    v = _view(dv)
+    col = np.sqrt(np.sum(np.abs(v.full) ** 2, axis=1))  # (nb, bd) column norms
+    scale = max(1.0, _max_abs(v.blocks))
+    return np.sort(v.index_blocks[col <= 1e-9 * max(scale, gap)])
 
 
 def _column_norm(op, indices: np.ndarray) -> float:
     """Frobenius norm of the selected columns."""
-    if isinstance(op, BlockDiagonalOperator):
-        sel = np.zeros(operator_dim(op), dtype=bool)
-        sel[indices] = True
-        total = 0.0
-        full = op.full_blocks()
-        for b in range(op.index_blocks.shape[0]):
-            m = sel[op.index_blocks[b]]
-            if m.any():
-                total += float(np.sum(np.abs(full[b][:, m]) ** 2))
-        return math.sqrt(total)
-    return float(np.linalg.norm(op[:, indices]))
+    v = _view(op)
+    sel = np.zeros(v.dim, dtype=bool)
+    sel[indices] = True
+    total = 0.0
+    for ix, blk in zip(v.index_blocks, v.full):
+        m = sel[ix]
+        if m.any():
+            total += float(np.sum(np.abs(blk[:, m]) ** 2))
+    return math.sqrt(total)
 
 
 # ---------------------------------------------------------------------------
@@ -769,13 +736,6 @@ def build_product_triple(even: SpectralTripleModel, vertical: np.ndarray,
     )
     dec.self_check()
     return dec
-
-
-def _dense(op) -> np.ndarray:
-    raw = _raw(op)
-    if isinstance(raw, BlockDiagonalOperator):
-        return raw.to_dense()
-    return np.asarray(raw, dtype=complex)
 
 
 def _cluster_labels(sorted_vals: np.ndarray, tol: float) -> np.ndarray:

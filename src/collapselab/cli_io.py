@@ -124,9 +124,13 @@ def _matrix_from_json(obj, name: str) -> np.ndarray:
 
 
 def _write_text(path: str, text: str) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
+    """Atomic write: temp file in the target directory, then rename.  An
+    unwritable target is a usage error (exit code 2)."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -202,6 +206,30 @@ def _param(params: dict, name: str, required: bool = True, default=None):
     return default
 
 
+def _number(value, kind, name: str):
+    """kind(value) (int or float); a malformed number is a schema error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{name} must be {kind.__name__}, got {value!r}") from exc
+
+
+def _num(params: dict, name: str, kind, required: bool = True, default=None):
+    """A numeric builder parameter; an absent optional one gives default."""
+    value = _param(params, name, required, default)
+    return value if value is None else _number(value, kind, name)
+
+
+def _floats(params: dict, name: str, required: bool = True):
+    """A list-of-floats builder parameter, or None when an optional one is absent."""
+    values = _param(params, name, required)
+    if values is None:
+        return None
+    if not isinstance(values, list):
+        raise SchemaError(f"{name} must be a list of numbers")
+    return [_number(v, float, name) for v in values]
+
+
 def _inline_triple(obj, name: str) -> SpectralTripleModel:
     """A raw spectral triple given by matrices; used for the even/base
     factor of product and crossed-product files."""
@@ -239,9 +267,9 @@ def _edges_from_json(obj) -> list:
 
 def _state_from_json(model: SpectralTripleModel, obj) -> StateFunctional:
     if isinstance(obj, dict) and "vertex" in obj:
-        return vertex_state(model, int(obj["vertex"]))
+        return vertex_state(model, _number(obj["vertex"], int, "vertex"))
     if isinstance(obj, dict) and "pure_index" in obj:
-        return pure_state(model.hilbert_dim, int(obj["pure_index"]))
+        return pure_state(model.hilbert_dim, _number(obj["pure_index"], int, "pure_index"))
     if isinstance(obj, dict) and "density" in obj:
         return StateFunctional(_matrix_from_json(obj["density"], "state.density"))
     raise SchemaError(
@@ -254,20 +282,20 @@ def _build_from_spec(spec: ModelSpecFile):
     p = spec.params
     if spec.builder == "torus":
         return build_torus_triple(
-            g_base=int(_param(p, "g_base")),
-            g_fiber=int(_param(p, "g_fiber")),
+            g_base=_num(p, "g_base", int),
+            g_fiber=_num(p, "g_fiber", int),
             theta=_matrix_from_json(_param(p, "theta"), "theta").real,
-            cutoff=int(_param(p, "cutoff")),
-            weights=_param(p, "weights", required=False),
-            monomial_cap=int(_param(p, "monomial_cap", required=False, default=1)),
+            cutoff=_num(p, "cutoff", int),
+            weights=_floats(p, "weights", required=False),
+            monomial_cap=_num(p, "monomial_cap", int, required=False, default=1),
             materialize=str(_param(p, "materialize", required=False,
                                    default="auto")),
             label=str(_param(p, "label", required=False, default="")))
     if spec.builder == "circle_bundle":
         family = build_circle_bundle_blocks(
-            base_eigenvalues=_param(p, "base_eigenvalues"),
-            fiber_length_scale=float(_param(p, "fiber_length_scale")),
-            k_min=int(_param(p, "k_min")), k_max=int(_param(p, "k_max")))
+            base_eigenvalues=_floats(p, "base_eigenvalues"),
+            fiber_length_scale=_num(p, "fiber_length_scale", float),
+            k_min=_num(p, "k_min", int), k_max=_num(p, "k_max", int))
         return family.as_decomposition(
             label=str(_param(p, "label", required=False, default="")))
     if spec.builder == "product":
@@ -279,11 +307,13 @@ def _build_from_spec(spec: ModelSpecFile):
     if spec.builder == "crossed_product":
         base = _inline_triple(_param(p, "base"), "base")
         phases = _param(p, "phases", required=False)
+        if phases is not None:
+            phases = _matrix_from_json(phases, "phases").real
         return build_crossed_product_model(
-            base, int(_param(p, "d")), int(_param(p, "cutoff")),
+            base, _num(p, "d", int), _num(p, "cutoff", int),
             phases=phases,
-            vertical_defect=float(_param(p, "vertical_defect",
-                                         required=False, default=0.0)),
+            vertical_defect=_num(p, "vertical_defect", float,
+                                 required=False, default=0.0),
             label=str(_param(p, "label", required=False, default="")))
     if spec.builder == "point_collapse":
         inner_obj = _param(p, "model")
@@ -306,12 +336,12 @@ def _build_from_spec(spec: ModelSpecFile):
     if spec.builder == "graph":
         return build_graph_model(
             _edges_from_json(_param(p, "edges")),
-            n_vertices=_param(p, "n_vertices", required=False),
+            n_vertices=_num(p, "n_vertices", int, required=False),
             label=str(_param(p, "label", required=False, default="")))
     if spec.builder == "cycle_adjacency":
         return build_cycle_adjacency_model(
-            int(_param(p, "n")),
-            weight=float(_param(p, "weight", required=False, default=1.0)),
+            _num(p, "n", int),
+            weight=_num(p, "weight", float, required=False, default=1.0),
             label=str(_param(p, "label", required=False, default="")))
     raise SchemaError(f"unknown builder {spec.builder!r}")
 
@@ -419,7 +449,7 @@ def cmd_build(args) -> int:
 
 def cmd_spectrum(args) -> int:
     loaded = load_model(args.model)
-    eps = float(args.eps)
+    eps = args.eps
     if loaded.decomposition is not None:
         op = rescale(loaded.decomposition, eps)
     else:
@@ -499,13 +529,16 @@ def cmd_distance(args) -> int:
     def parse_state(token: str) -> StateFunctional:
         kind, _, arg = token.partition(":")
         if kind == "vertex" and arg:
-            return vertex_state(model, int(arg))
+            return vertex_state(model, _number(arg, int, "vertex"))
         if kind == "pure" and arg:
-            return pure_state(model.hilbert_dim, int(arg))
+            return pure_state(model.hilbert_dim, _number(arg, int, "pure"))
         if kind == "density" and arg:
-            with open(arg, "r") as handle:
-                return StateFunctional(
-                    _matrix_from_json(json.load(handle), "density"))
+            try:
+                with open(arg, "r") as handle:
+                    doc = json.load(handle)
+            except (OSError, ValueError) as exc:
+                raise SchemaError(f"cannot read density file {arg!r}: {exc}") from exc
+            return StateFunctional(_matrix_from_json(doc, "density"))
         raise SchemaError(
             f"bad state {token!r}: use vertex:<i>, pure:<i>, or density:<file>")
 
@@ -589,17 +622,6 @@ def cmd_report(args) -> int:
 
 # ------------------------------------------------------------------ driver
 
-def _apply_thread_cap() -> None:
-    """Best-effort parallelism cap: BLAS pools read these variables when
-    they start, so the cap holds for pools not yet initialized."""
-    cap = os.environ.get("COLLAPSE_LAB_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collapselab",
@@ -618,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalues at one eps")
     add_common(p)
-    p.add_argument("--eps", default="1", help="rescaling parameter")
+    p.add_argument("--eps", type=float, default=1.0, help="rescaling parameter")
     p.set_defaults(handler=cmd_spectrum)
 
     p = sub.add_parser("sweep", help="spectral sweep over an eps grid")
@@ -653,7 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

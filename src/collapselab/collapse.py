@@ -14,11 +14,13 @@ import numpy as np
 
 from .core import (
     AlgebraElement,
-    BlockDiagonalOperator,
     HermitianOperator,
     PreconditionError,
     SpectralTripleModel,
-    _raw,
+    _kernel_eigenvectors,
+    _like,
+    _max_abs,
+    _view,
     compress_to_indices,
     hermitian_spectrum,
     op_norm,
@@ -51,37 +53,13 @@ def kernel_projection(d_v, tol: float = None, gap: float = None):
     forbidden annulus means the kernel cannot be classified reliably.  The
     result has the same dense or block form as the input.
     """
-    r = _raw(d_v)
-    scale = op_norm(r)
-    if tol is None:
-        tol = 1e-9 * max(1.0, scale)
-    if tol <= 0:
-        raise PreconditionError("kernel tolerance must be positive")
-    if gap is not None and gap <= tol:
-        raise PreconditionError("gap must exceed the kernel tolerance")
-
-    def block_projector(mat: np.ndarray) -> np.ndarray:
-        vals, vecs = np.linalg.eigh(mat)
-        if gap is not None:
-            bad = (np.abs(vals) >= tol) & (np.abs(vals) < gap)
-            if np.any(bad):
-                raise PreconditionError(
-                    f"spectral gap violated: eigenvalue {vals[bad][0]:.6g} "
-                    f"inside the annulus [{tol:.3g}, {gap:.6g})")
-        keep = vecs[:, np.abs(vals) < tol]
-        return keep @ keep.conj().T
-
-    if isinstance(r, BlockDiagonalOperator):
-        blocks = np.stack([block_projector(b) for b in r.full_blocks()])
-        return BlockDiagonalOperator(r.dim, r.index_blocks, blocks)
-    return block_projector(r)
+    v, kept = _kernel_eigenvectors(d_v, tol, gap)
+    return _like(v, np.stack([k @ k.conj().T for k in kept]))
 
 
 def projector_rank(p) -> int:
     """Rank of a projector, read off the trace."""
-    r = _raw(p)
-    tr = r.full_blocks().trace(axis1=1, axis2=2).sum() if \
-        isinstance(r, BlockDiagonalOperator) else np.trace(r)
+    tr = _view(p).full.trace(axis1=1, axis2=2).sum()
     return int(round(float(tr.real)))
 
 
@@ -100,7 +78,7 @@ def compress_base(dec) -> SpectralTripleModel:
     kernel_ix = dec.kernel_indices()
     mask = np.zeros(dec.total.hilbert_dim)
     mask[kernel_ix] = 1.0
-    dh = _raw(dec.d_h)
+    dh = dec.d_h
     leak = projection_commutator_norm(mask, dh)
     if leak > 1e-10 * max(1.0, op_norm(dh)):
         raise PreconditionError(
@@ -108,7 +86,7 @@ def compress_base(dec) -> SpectralTripleModel:
             f"(defect {leak:.3e}); base compression is not defined")
 
     d_base = compress_to_indices(dh, kernel_ix)
-    basis = tuple(compress_to_indices(_raw(b.matrix), kernel_ix)
+    basis = tuple(compress_to_indices(b.matrix, kernel_ix)
                   for b in dec.base_basis())
 
     # identity of the compressed triple, written over the compressed basis
@@ -197,28 +175,14 @@ def _sector_codes(dec) -> Optional[np.ndarray]:
 
 
 def _max_off_sector_entry(op, codes: np.ndarray) -> float:
-    r = _raw(op)
-    if isinstance(r, BlockDiagonalOperator):
-        worst = 0.0
-        full = r.full_blocks()
-        for b in range(r.n_blocks):
-            c = codes[r.index_blocks[b]]
-            if np.all(c == c[0]):
-                continue   # block lives inside one sector
-            off = c[:, None] != c[None, :]
-            blk = full[b if full.shape[0] > 1 else 0]
-            if np.any(off):
-                worst = max(worst, float(np.max(np.abs(blk[off]))))
-        return worst
-    off = codes[:, None] != codes[None, :]
-    return float(np.max(np.abs(r[off]))) if np.any(off) else 0.0
-
-
-def _entry_scale(op) -> float:
-    r = _raw(op)
-    if isinstance(r, BlockDiagonalOperator):
-        return float(np.max(np.abs(r.blocks))) if r.blocks.size else 0.0
-    return float(np.max(np.abs(r))) if r.size else 0.0
+    v = _view(op)
+    worst = 0.0
+    for ix, blk in zip(v.index_blocks, v.full):
+        c = codes[ix]
+        if np.all(c == c[0]):
+            continue   # block lives inside one sector
+        worst = max(worst, _max_abs(blk[c[:, None] != c[None, :]]))
+    return worst
 
 
 def _check_sector_invariance(dec, codes: np.ndarray) -> None:
@@ -226,20 +190,18 @@ def _check_sector_invariance(dec, codes: np.ndarray) -> None:
     eigensolves below are exact only under this."""
     for name, op in (("horizontal", dec.d_h), ("vertical", dec.d_v)):
         leak = _max_off_sector_entry(op, codes)
-        if leak > SECTOR_LEAK_RTOL * max(1.0, _entry_scale(op)):
+        if leak > SECTOR_LEAK_RTOL * max(1.0, _max_abs(op)):
             raise PreconditionError(
                 f"{name} Dirac part couples different sectors "
                 f"(entry {leak:.3e}); sector tracking would be wrong")
 
 
-def _blocks_match_sectors(d, codes: np.ndarray) -> Optional[list]:
-    """If every block of d sits inside a single sector, return the block ->
-    sector code list; otherwise None."""
-    if not isinstance(d, BlockDiagonalOperator):
-        return None
+def _blocks_match_sectors(v, codes: np.ndarray) -> Optional[list]:
+    """If every block of the view v sits inside a single sector, return the
+    block -> sector code list; otherwise None."""
     out = []
-    for b in range(d.n_blocks):
-        c = codes[d.index_blocks[b]]
+    for ix in v.index_blocks:
+        c = codes[ix]
         if not np.all(c == c[0]):
             return None
         out.append(int(c[0]))
@@ -266,7 +228,7 @@ def sweep(dec, eps_grid: Sequence[float] = None, window: float = None) -> EpsSwe
     if window is None:
         window = dec.reliable_window
         if not math.isfinite(window):
-            window = float(op_norm(_raw(dec.total.dirac)))
+            window = float(op_norm(dec.total.dirac))
     if window <= 0:
         raise PreconditionError("window must be positive")
     if window > dec.reliable_window:
@@ -292,10 +254,11 @@ def sweep(dec, eps_grid: Sequence[float] = None, window: float = None) -> EpsSwe
         if codes is None:
             spectra[i] = hermitian_spectrum(d_eps)
             continue
-        block_codes = _blocks_match_sectors(d_eps, codes)
+        view = _view(d_eps)
+        block_codes = _blocks_match_sectors(view, codes)
         per_sector = {}
         if block_codes is not None:
-            vals = np.linalg.eigvalsh(d_eps.full_blocks())
+            vals = np.linalg.eigvalsh(view.full)
             for b, c in enumerate(block_codes):
                 per_sector.setdefault(label_of_code[c], []).append(vals[b])
         else:
@@ -338,7 +301,7 @@ def sweep(dec, eps_grid: Sequence[float] = None, window: float = None) -> EpsSwe
         base_spectrum=base_spec,
         tracking_method=method,
         vertical_gap=float(dec.vertical_gap),
-        horizontal_norm=float(op_norm(_raw(dec.d_h))),
+        horizontal_norm=float(op_norm(dec.d_h)),
     )
 
 
@@ -370,29 +333,22 @@ def unitary_restriction_check(dec, eps: float, t: float) -> float:
         raise PreconditionError("eps must be positive")
     kernel_ix = dec.kernel_indices()
     dim = dec.total.hilbert_dim
-    d_eps = dec.dirac_at(eps)
 
-    # evolution applied to the kernel columns
+    # evolution applied to the kernel columns, over the blocks they meet
+    v = _view(dec.dirac_at(eps))
     lhs = np.zeros((dim, len(kernel_ix)), dtype=complex)
-    pos = {int(g): k for k, g in enumerate(kernel_ix)}
-    if isinstance(d_eps, BlockDiagonalOperator):
-        full = d_eps.full_blocks()
-        for b in range(d_eps.n_blocks):
-            g = d_eps.index_blocks[b]
-            cols = [(j, pos[int(x)]) for j, x in enumerate(g) if int(x) in pos]
-            if not cols:
-                continue
-            local, glob = zip(*cols)
-            vals, vecs = np.linalg.eigh(full[b])
+    pos = np.full(dim, -1, dtype=np.int64)
+    pos[kernel_ix] = np.arange(len(kernel_ix))
+    for g, blk in zip(v.index_blocks, v.full):
+        p = pos[g]
+        local = np.flatnonzero(p >= 0)
+        if local.size:
+            vals, vecs = np.linalg.eigh(blk)
             u = (vecs * np.exp(1j * t * vals)) @ vecs.conj().T
-            lhs[np.ix_(g, np.array(glob))] = u[:, np.array(local)]
-    else:
-        vals, vecs = np.linalg.eigh(d_eps)
-        u = (vecs * np.exp(1j * t * vals)) @ vecs.conj().T
-        lhs = u[:, kernel_ix]
+            lhs[np.ix_(g, p[local])] = u[:, local]
 
     # compressed evolution, embedded back on the kernel rows
-    b_mat = compress_to_indices(_raw(dec.d_h), kernel_ix)
+    b_mat = compress_to_indices(dec.d_h, kernel_ix)
     vals, vecs = np.linalg.eigh(b_mat)
     rhs = np.zeros_like(lhs)
     rhs[kernel_ix] = (vecs * np.exp(1j * t * vals)) @ vecs.conj().T

@@ -3,12 +3,15 @@
 All models are finite dimensional: operators are plain complex numpy arrays,
 either stored densely or as block-diagonal stacks over an index partition
 (used by the lattice builders, whose Dirac operators never mix Fourier modes).
+Every primitive is written once, over block stacks; a dense matrix is the
+one-block case.  Results keep the operand's form: dense in gives an ndarray
+out, block in gives a BlockDiagonalOperator out.
 Everything here is pure and safe to call from multiple threads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -56,12 +59,22 @@ def as_complex_matrix(obj, *, square: bool = False) -> np.ndarray:
     return a
 
 
-def _max_abs(a: np.ndarray) -> float:
+def _max_abs(a) -> float:
+    """Largest entry modulus of an array, or of an operator's stored blocks."""
+    a = a if isinstance(a, np.ndarray) else _view(a).blocks
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _adjoint_blocks(blocks: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(blocks, -1, -2))
+
+
+def _hermitian_defect(blocks: np.ndarray) -> float:
+    return _max_abs(blocks - _adjoint_blocks(blocks))
+
+
 def is_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
-    return _max_abs(a - a.conj().T) <= rtol * (1.0 + _max_abs(a))
+    return _hermitian_defect(a) <= rtol * (1.0 + _max_abs(a))
 
 
 @dataclass(frozen=True)
@@ -75,35 +88,27 @@ class HermitianOperator:
     matrix: object
 
     def __post_init__(self):
-        if isinstance(self.matrix, BlockDiagonalOperator):
-            if self.matrix.dim != self.dim:
-                raise PreconditionError(
-                    f"dim={self.dim} does not match operator dim {self.matrix.dim}")
-            if not self.matrix.is_hermitian():
-                raise PreconditionError("block operator is not Hermitian")
-            return
-        m = as_complex_matrix(self.matrix, square=True)
-        if m.shape[0] != self.dim:
+        v = _view(self.matrix)
+        if v.dim != self.dim:
             raise PreconditionError(
-                f"dim={self.dim} does not match matrix shape {m.shape}")
-        if not is_hermitian(m):
-            defect = _max_abs(m - m.conj().T)
+                f"dim={self.dim} does not match operator dim {v.dim}")
+        if not is_hermitian(v.blocks):
             raise PreconditionError(
-                f"matrix is not Hermitian (defect {defect:.3e} beyond tolerance)")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+                f"matrix is not Hermitian (defect {_hermitian_defect(v.blocks):.3e} "
+                "beyond tolerance)")
+        if v.dense:
+            m = v.blocks[0].copy()
+            m.flags.writeable = False
+            object.__setattr__(self, "matrix", m)
 
     def spectrum(self) -> np.ndarray:
         return hermitian_spectrum(self)
 
     def apply(self, xi: np.ndarray) -> np.ndarray:
-        return self.matrix @ xi if isinstance(self.matrix, np.ndarray) \
-            else self.matrix.apply(xi)
+        return _apply(self.matrix, xi)
 
     def to_dense(self) -> np.ndarray:
-        return self.matrix if isinstance(self.matrix, np.ndarray) \
-            else self.matrix.to_dense()
+        return _dense(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -160,12 +165,11 @@ class BlockDiagonalOperator:
         return np.broadcast_to(self.blocks, (self.n_blocks,) + self.blocks.shape[1:])
 
     def is_hermitian(self, rtol: float = HERMITICITY_RTOL) -> bool:
-        blk = self.blocks
-        return _max_abs(blk - np.conj(np.swapaxes(blk, 1, 2))) <= rtol * (1.0 + _max_abs(blk))
+        return is_hermitian(self.blocks, rtol)
 
     def adjoint(self) -> "BlockDiagonalOperator":
         return BlockDiagonalOperator(
-            self.dim, self.index_blocks, np.conj(np.swapaxes(self.blocks, 1, 2)))
+            self.dim, self.index_blocks, _adjoint_blocks(self.blocks))
 
     def scaled(self, s: complex) -> "BlockDiagonalOperator":
         return BlockDiagonalOperator(self.dim, self.index_blocks, s * self.blocks)
@@ -187,20 +191,10 @@ class BlockDiagonalOperator:
             raise PreconditionError("block partitions differ")
 
     def apply(self, xi: np.ndarray) -> np.ndarray:
-        xi = np.asarray(xi, dtype=complex)
-        out = np.empty(self.dim, dtype=complex)
-        full = self.full_blocks()
-        for b in range(self.n_blocks):
-            out[self.index_blocks[b]] = full[b] @ xi[self.index_blocks[b]]
-        return out
+        return _apply(self, xi)
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.dim, self.dim), dtype=complex)
-        full = self.full_blocks()
-        for b in range(self.n_blocks):
-            ix = self.index_blocks[b]
-            dense[np.ix_(ix, ix)] = full[b]
-        return dense
+        return _dense(self)
 
     def spectrum(self) -> np.ndarray:
         return hermitian_spectrum(self)
@@ -219,30 +213,88 @@ def _raw(op: OperatorLike):
     return as_complex_matrix(op, square=True)
 
 
-def operator_dim(op: OperatorLike) -> int:
+class _Blocks(NamedTuple):
+    """An operator as a stack of diagonal blocks over an index partition.
+
+    ``blocks`` is stored as given (leading axis 1 when repeated), ``full``
+    has one block per index block.  A dense n x n matrix is the one-block
+    view ``(arange(n)[None], m[None])``, made without a copy; ``dense``
+    records which form results go back into.
+    """
+
+    dim: int
+    index_blocks: np.ndarray
+    blocks: np.ndarray
+    full: np.ndarray
+    dense: bool
+
+
+def _view(op: OperatorLike) -> _Blocks:
     r = _raw(op)
-    return r.dim if isinstance(r, BlockDiagonalOperator) else r.shape[0]
+    if isinstance(r, BlockDiagonalOperator):
+        return _Blocks(r.dim, r.index_blocks, r.blocks, r.full_blocks(), False)
+    n = r.shape[0]
+    return _Blocks(n, np.arange(n)[None], r[None], r[None], True)
+
+
+def _like(v: _Blocks, blocks: np.ndarray):
+    """Blocks over v's partition, returned in v's form."""
+    if v.dense:
+        return blocks[0]
+    return BlockDiagonalOperator(v.dim, v.index_blocks, blocks)
+
+
+def _dense(op: OperatorLike) -> np.ndarray:
+    """The operator as a dense matrix (no copy for dense input)."""
+    v = _view(op)
+    if v.dense:
+        return v.blocks[0]
+    out = np.zeros((v.dim, v.dim), dtype=complex)
+    for ix, blk in zip(v.index_blocks, v.full):
+        out[np.ix_(ix, ix)] = blk
+    return out
+
+
+def _pair(a: OperatorLike, b: OperatorLike):
+    """Views of two operators over one partition.  Operands whose partitions
+    differ, dense against block included, are densified here."""
+    va, vb = _view(a), _view(b)
+    if va.dim != vb.dim:
+        raise PreconditionError(f"dimension mismatch: {va.dim} vs {vb.dim}")
+    if va.dense == vb.dense and (
+            va.dense or np.array_equal(va.index_blocks, vb.index_blocks)):
+        return va, vb
+    return _view(_dense(a)), _view(_dense(b))
+
+
+def _sum(a: OperatorLike, b: OperatorLike, eps: float = 1.0):
+    """``a + b / eps`` in the operands' common form; eps = -1 subtracts."""
+    va, vb = _pair(a, b)
+    return _like(va, va.blocks + vb.blocks / eps)
+
+
+def _apply(op: OperatorLike, xi: np.ndarray) -> np.ndarray:
+    v = _view(op)
+    xi = np.asarray(xi, dtype=complex)
+    out = np.empty(v.dim, dtype=complex)
+    for ix, blk in zip(v.index_blocks, v.full):
+        out[ix] = blk @ xi[ix]
+    return out
+
+
+def operator_dim(op: OperatorLike) -> int:
+    return _view(op).dim
 
 
 def commutator(a: OperatorLike, b: OperatorLike):
-    """[a, b] = ab - ba.  Both operands must share a dimension (and, for
-    block-diagonal operands, a partition)."""
-    ra, rb = _raw(a), _raw(b)
-    if isinstance(ra, BlockDiagonalOperator) or isinstance(rb, BlockDiagonalOperator):
-        if not (isinstance(ra, BlockDiagonalOperator) and isinstance(rb, BlockDiagonalOperator)):
-            # mixed dense/block: fall back to dense arithmetic
-            da = ra.to_dense() if isinstance(ra, BlockDiagonalOperator) else ra
-            db = rb.to_dense() if isinstance(rb, BlockDiagonalOperator) else rb
-            return commutator(da, db)
-        ra._check_partner(rb)
-        blk = ra.blocks @ rb.blocks - rb.blocks @ ra.blocks
-        if blk.shape[0] > 1 and not np.any(blk):
-            # exact cancellation; collapse to one repeated zero block
-            blk = blk[:1]
-        return BlockDiagonalOperator(ra.dim, ra.index_blocks, blk)
-    if ra.shape != rb.shape:
-        raise PreconditionError(f"dimension mismatch: {ra.shape} vs {rb.shape}")
-    return ra @ rb - rb @ ra
+    """[a, b] = ab - ba.  Both operands must share a dimension; operands over
+    different partitions (or dense against block) give a dense result."""
+    va, vb = _pair(a, b)
+    blk = va.blocks @ vb.blocks - vb.blocks @ va.blocks
+    if blk.shape[0] > 1 and not np.any(blk):
+        # exact cancellation; collapse to one repeated zero block
+        blk = blk[:1]
+    return _like(va, blk)
 
 
 _NORMAL_DETECT_RTOL = 1e-13
@@ -252,39 +304,30 @@ def _normal_sign(blocks: np.ndarray) -> int:
     """1 if (each) matrix is Hermitian to within the detection tolerance,
     -1 if anti-Hermitian, 0 otherwise.  Commutators of Hermitian operators
     are anti-Hermitian up to summation-order noise, far below the detector."""
-    swapped = np.conj(np.swapaxes(blocks, -1, -2))
-    scale = float(np.max(np.abs(blocks))) if blocks.size else 0.0
+    swapped = _adjoint_blocks(blocks)
+    scale = _max_abs(blocks)
     if scale == 0.0:
         return 1
-    if float(np.max(np.abs(blocks - swapped))) <= _NORMAL_DETECT_RTOL * scale:
+    if _max_abs(blocks - swapped) <= _NORMAL_DETECT_RTOL * scale:
         return 1
-    if float(np.max(np.abs(blocks + swapped))) <= _NORMAL_DETECT_RTOL * scale:
+    if _max_abs(blocks + swapped) <= _NORMAL_DETECT_RTOL * scale:
         return -1
     return 0
 
 
 def op_norm(a: OperatorLike) -> float:
-    """Largest singular value.  Exact for block-diagonal operators as the max
-    over blocks; relative accuracy ~1e-15 via LAPACK, well inside the 1e-10
-    contract.  (Anti-)Hermitian inputs take a symmetric eigensolver path,
-    which is substantially faster than the general SVD."""
-    r = _raw(a)
-    if isinstance(r, BlockDiagonalOperator):
-        if r.blocks.size == 0 or not r.blocks.any():
-            return 0.0
-        sign = _normal_sign(r.blocks)
-        if sign:
-            ev = np.linalg.eigvalsh(r.blocks if sign > 0 else 1j * r.blocks)
-            return float(np.max(np.abs(ev)))
-        s = np.linalg.svd(r.blocks, compute_uv=False)
-        return float(np.max(s))
-    if r.size == 0 or not r.any():
+    """Largest singular value, the max over blocks; relative accuracy ~1e-15
+    via LAPACK, well inside the 1e-10 contract.  (Anti-)Hermitian inputs take
+    a symmetric eigensolver path, which is substantially faster than the
+    general SVD."""
+    blk = _view(a).blocks
+    if blk.size == 0 or not blk.any():
         return 0.0
-    sign = _normal_sign(r)
+    sign = _normal_sign(blk)
     if sign:
-        ev = np.linalg.eigvalsh(r if sign > 0 else 1j * r)
+        ev = np.linalg.eigvalsh(blk if sign > 0 else 1j * blk)
         return float(np.max(np.abs(ev)))
-    return float(np.linalg.svd(r, compute_uv=False)[0])
+    return float(np.max(np.linalg.svd(blk, compute_uv=False)))
 
 
 def hermitian_spectrum(h: OperatorLike) -> np.ndarray:
@@ -293,29 +336,52 @@ def hermitian_spectrum(h: OperatorLike) -> np.ndarray:
     Rejects inputs violating the Hermiticity tolerance.  Eigenvector phases are
     never exposed; nothing downstream may depend on them.
     """
-    r = _raw(h)
-    if isinstance(r, BlockDiagonalOperator):
-        if not r.is_hermitian():
-            raise PreconditionError("operator is not Hermitian within tolerance")
-        vals = np.linalg.eigvalsh(r.full_blocks())
-        return np.sort(vals.ravel())
-    if not is_hermitian(r):
+    v = _view(h)
+    if not is_hermitian(v.blocks):
         raise PreconditionError("matrix is not Hermitian within tolerance")
-    vals = np.linalg.eigvalsh(r)
+    vals = np.linalg.eigvalsh(v.full)
     if not np.all(np.isfinite(vals)):
         raise PreconditionError("eigensolver produced non-finite values")
-    return vals
+    # one block comes back ascending from eigvalsh; re-sorting could swap +-0.0
+    return vals[0] if len(vals) == 1 else np.sort(vals.ravel())
 
 
 def graph_norm(d: OperatorLike, xi: np.ndarray) -> float:
     """``norm(xi) + norm(D xi)`` with Euclidean vector norms."""
-    r = _raw(d)
+    dim = operator_dim(d)
     xi = np.asarray(xi, dtype=complex)
-    if xi.ndim != 1 or xi.shape[0] != operator_dim(r):
+    if xi.ndim != 1 or xi.shape[0] != dim:
         raise PreconditionError(
-            f"vector length {xi.shape} does not match operator dim {operator_dim(r)}")
-    dxi = r.apply(xi) if isinstance(r, BlockDiagonalOperator) else r @ xi
-    return float(np.linalg.norm(xi) + np.linalg.norm(dxi))
+            f"vector length {xi.shape} does not match operator dim {dim}")
+    return float(np.linalg.norm(xi) + np.linalg.norm(_apply(d, xi)))
+
+
+def _kernel_eigenvectors(op: OperatorLike, tol: float = None, gap: float = None):
+    """Per block, the eigenvectors of a Hermitian operator with eigenvalue in
+    (-tol, tol), returned with the operator's view.
+
+    tol defaults to 1e-9 * max(1, norm(op)).  When a gap is supplied, any
+    eigenvalue with tol <= |lambda| < gap raises: an eigenvalue inside the
+    forbidden annulus means the kernel cannot be classified reliably.
+    """
+    if tol is None:
+        tol = 1e-9 * max(1.0, op_norm(op))
+    if tol <= 0:
+        raise PreconditionError("kernel tolerance must be positive")
+    if gap is not None and gap <= tol:
+        raise PreconditionError("gap must exceed the kernel tolerance")
+    v = _view(op)
+    kept = []
+    for blk in v.full:
+        vals, vecs = np.linalg.eigh(blk)
+        if gap is not None:
+            bad = (np.abs(vals) >= tol) & (np.abs(vals) < gap)
+            if np.any(bad):
+                raise PreconditionError(
+                    f"spectral gap violated: eigenvalue {vals[bad][0]:.6g} "
+                    f"inside the annulus [{tol:.3g}, {gap:.6g})")
+        kept.append(vecs[:, np.abs(vals) < tol])
+    return v, kept
 
 
 @dataclass(frozen=True)
@@ -333,86 +399,55 @@ class AlgebraElement:
         object.__setattr__(self, "coefficients", c)
 
 
-def _vectorize(op: OperatorLike) -> np.ndarray:
-    """Flatten an operator to a coefficient vector for span computations.
-    Block operators flatten blockwise (all model bases share one partition)."""
-    r = _raw(op)
-    if isinstance(r, BlockDiagonalOperator):
-        return r.full_blocks().ravel()
-    return r.ravel()
-
-
-def _shared_repeated_partition(ops) -> np.ndarray:
-    """Common index partition if every operator is block diagonal with one
-    repeated block over the same partition, else None."""
-    idx = None
-    for op in ops:
-        r = _raw(op)
-        if not isinstance(r, BlockDiagonalOperator) or r.blocks.shape[0] != 1:
-            return None
-        if idx is None:
-            idx = r.index_blocks
-        elif not np.array_equal(idx, r.index_blocks):
-            return None
-    return idx
-
-
 def basis_vector_stack(basis, hilbert_dim: int):
     """Vectorized basis rows plus the matching identity vector.
 
-    When every basis element is a repeated-block operator over one partition,
-    vectorization uses the single stored block; the span geometry is the same
-    up to a harmless overall scale, and the expansion of large models is
-    avoided entirely.
+    When every basis element stores one block (a dense matrix, or one block
+    repeated over a shared partition), vectorization uses that single block;
+    the span geometry is the same up to a harmless overall scale, and the
+    expansion of large models is avoided entirely.  Otherwise operators
+    flatten blockwise (all model bases share one partition).
     """
-    if _shared_repeated_partition(basis) is not None:
-        v = np.stack([_raw(b).blocks[0].ravel() for b in basis])
-        bd = _raw(basis[0]).block_dim
-        ident = np.eye(bd, dtype=complex).ravel()
-        return v, ident
-    v = np.stack([_vectorize(b) for b in basis])
-    return v, np.eye(hilbert_dim, dtype=complex).ravel()
+    views = [_view(b) for b in basis]
+    first = views[0]
+    if all(v.blocks.shape[0] == 1 and np.array_equal(v.index_blocks, first.index_blocks)
+           for v in views):
+        bd = first.blocks.shape[1]
+        return np.stack([v.blocks[0].ravel() for v in views]), \
+            np.eye(bd, dtype=complex).ravel()
+    return np.stack([v.full.ravel() for v in views]), \
+        np.eye(hilbert_dim, dtype=complex).ravel()
 
 
 def projection_commutator_norm(mask: np.ndarray, op: OperatorLike) -> float:
     """Norm of [p, op] for the diagonal projection p = diag(mask), mask 0/1.
 
-    Entrywise (mask_i - mask_j) * op_ij; never materializes p for block
-    operators.
+    Entrywise (mask_i - mask_j) * op_ij over each block; never materializes p.
     """
     mask = np.asarray(mask, dtype=float)
-    r = _raw(op)
-    if isinstance(r, BlockDiagonalOperator):
-        full = r.full_blocks()
-        worst = 0.0
-        for b in range(r.n_blocks):
-            mb = mask[r.index_blocks[b]]
-            if mb.min() == mb.max():
-                continue  # constant mask on the block: commutator vanishes there
-            diff = mb[:, None] - mb[None, :]
-            worst = max(worst, op_norm(full[b] * diff))
-        return worst
-    diff = mask[:, None] - mask[None, :]
-    return op_norm(r * diff)
+    v = _view(op)
+    worst = 0.0
+    for ix, blk in zip(v.index_blocks, v.full):
+        mb = mask[ix]
+        if mb.min() == mb.max():
+            continue  # constant mask on the block: commutator vanishes there
+        worst = max(worst, op_norm(blk * (mb[:, None] - mb[None, :])))
+    return worst
 
 
 def compress_to_indices(op: OperatorLike, indices: np.ndarray) -> np.ndarray:
     """Dense submatrix of op on the given (small) index set."""
     ix = np.asarray(indices, dtype=np.int64)
-    r = _raw(op)
-    if isinstance(r, BlockDiagonalOperator):
-        pos = {int(g): k for k, g in enumerate(ix)}
-        out = np.zeros((ix.size, ix.size), dtype=complex)
-        full = r.full_blocks()
-        for b in range(r.n_blocks):
-            local = [(j, pos[int(g)]) for j, g in enumerate(r.index_blocks[b])
-                     if int(g) in pos]
-            if not local:
-                continue
-            loc, glob = zip(*local)
-            out[np.ix_(glob, glob)] = full[b][np.ix_(loc, loc)]
-        return out
-    return r[np.ix_(ix, ix)]
+    v = _view(op)
+    pos = np.full(v.dim, -1, dtype=np.int64)
+    pos[ix] = np.arange(ix.size)
+    out = np.zeros((ix.size, ix.size), dtype=complex)
+    for g, blk in zip(v.index_blocks, v.full):
+        p = pos[g]
+        loc = np.flatnonzero(p >= 0)
+        if loc.size:
+            out[np.ix_(p[loc], p[loc])] = blk[np.ix_(loc, loc)]
+    return out
 
 
 @dataclass(frozen=True)
@@ -445,12 +480,8 @@ class SpectralTripleModel:
                 raise PreconditionError("basis matrix dimension mismatch")
         if operator_dim(self.dirac) != self.hilbert_dim:
             raise PreconditionError("Dirac dimension mismatch")
-        d = _raw(self.dirac)
-        if isinstance(d, BlockDiagonalOperator):
-            if not d.is_hermitian():
-                raise PreconditionError("Dirac operator is not Hermitian")
-        elif not isinstance(self.dirac, HermitianOperator):
-            object.__setattr__(self, "dirac", HermitianOperator(self.hilbert_dim, d))
+        if not isinstance(self.dirac, HermitianOperator):
+            object.__setattr__(self, "dirac", HermitianOperator(self.hilbert_dim, self.dirac))
         object.__setattr__(self, "algebra_basis", basis)
 
         v, ident = basis_vector_stack(basis, self.hilbert_dim)
@@ -479,32 +510,27 @@ class SpectralTripleModel:
             self._check_grading()
 
     def _check_grading(self):
-        g = _raw(self.grading)
-        d = _raw(self.dirac)
-        if operator_dim(g) != self.hilbert_dim:
+        if operator_dim(self.grading) != self.hilbert_dim:
             raise PreconditionError("grading dimension mismatch")
-        gd = g.to_dense() if isinstance(g, BlockDiagonalOperator) else g
+        gd = _dense(self.grading)
         scale = 1.0 + _max_abs(gd)
         if _max_abs(gd - gd.conj().T) > 1e-12 * scale:
             raise PreconditionError("grading is not self-adjoint")
         if _max_abs(gd @ gd - np.eye(self.hilbert_dim)) > 1e-12 * scale:
             raise PreconditionError("grading is not unitary")
-        dd = d.to_dense() if isinstance(d, BlockDiagonalOperator) else d
+        dd = _dense(self.dirac)
         anti = gd @ dd + dd @ gd
         if _max_abs(anti) > 1e-12 * (1.0 + _max_abs(dd)):
             raise PreconditionError("grading does not anticommute with the Dirac")
         for b in self.algebra_basis:
-            bb = _raw(b)
-            bb = bb.to_dense() if isinstance(bb, BlockDiagonalOperator) else bb
+            bb = _dense(b)
             if _max_abs(gd @ bb - bb @ gd) > 1e-12 * (1.0 + _max_abs(bb)):
                 raise PreconditionError("grading does not commute with the algebra")
 
     @staticmethod
     def _adjoint_of(op: OperatorLike):
-        r = _raw(op)
-        if isinstance(r, BlockDiagonalOperator):
-            return r.adjoint()
-        return r.conj().T
+        v = _view(op)
+        return _like(v, _adjoint_blocks(v.blocks))
 
     @staticmethod
     def _span_solve(v: np.ndarray, gram: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -512,19 +538,15 @@ class SpectralTripleModel:
         return np.linalg.solve(gram, v @ target.conj()).conj()
 
     def _basis_tensor(self) -> np.ndarray:
-        """Stacked basis, cached; block bases stack their (shared-partition)
-        block arrays so repeated blocks are never expanded."""
+        """Stacked basis blocks, cached; repeated blocks over the shared
+        partition are never expanded."""
         cached = getattr(self, "_basis_tensor_cache", None)
         if cached is None:
-            first = _raw(self.algebra_basis[0])
-            if isinstance(first, BlockDiagonalOperator):
-                shapes = {_raw(b).blocks.shape for b in self.algebra_basis}
-                if len(shapes) == 1:
-                    cached = np.stack([_raw(b).blocks for b in self.algebra_basis])
-                else:
-                    cached = np.stack([_raw(b).full_blocks() for b in self.algebra_basis])
+            views = [_view(b) for b in self.algebra_basis]
+            if len({v.blocks.shape for v in views}) == 1:
+                cached = np.stack([v.blocks for v in views])
             else:
-                cached = np.stack([_raw(b) for b in self.algebra_basis])
+                cached = np.stack([v.full for v in views])
             object.__setattr__(self, "_basis_tensor_cache", cached)
         return cached
 
@@ -534,14 +556,8 @@ class SpectralTripleModel:
         if c.shape != (len(self.algebra_basis),):
             raise PreconditionError(
                 f"expected {len(self.algebra_basis)} coefficients, got {c.shape}")
-        first = _raw(self.algebra_basis[0])
-        stack = self._basis_tensor()
-        if isinstance(first, BlockDiagonalOperator):
-            blocks = np.tensordot(c, stack, axes=1)
-            mat = BlockDiagonalOperator(self.hilbert_dim, first.index_blocks, blocks)
-        else:
-            mat = np.tensordot(c, stack, axes=1)
-        return AlgebraElement(c, mat)
+        blocks = np.tensordot(c, self._basis_tensor(), axes=1)
+        return AlgebraElement(c, _like(_view(self.algebra_basis[0]), blocks))
 
     def identity_element(self) -> AlgebraElement:
         return self.element(self.identity_coefficients)
@@ -554,7 +570,7 @@ def lip_seminorm(model: SpectralTripleModel, a) -> float:
     mat = a.matrix if isinstance(a, AlgebraElement) else a
     if operator_dim(mat) != model.hilbert_dim:
         raise PreconditionError("element dimension does not match the model")
-    return op_norm(commutator(_raw(model.dirac), _raw(mat)))
+    return op_norm(commutator(model.dirac, mat))
 
 
 def hermitian_coefficient_basis(model: SpectralTripleModel) -> np.ndarray:

@@ -9,26 +9,26 @@ data.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
-from ._runtime import worker_count
 from .core import (
     AlgebraElement,
-    BlockDiagonalOperator,
     PreconditionError,
     SpectralTripleModel,
+    _apply,
+    _dense,
+    _kernel_eigenvectors,
+    _sum,
     commutator,
     compress_to_indices,
     hermitian_coefficient_basis,
     op_norm,
     operator_dim,
     projection_commutator_norm,
-    _raw,
 )
 
 __all__ = [
@@ -103,7 +103,8 @@ def bump_function(delta: float, eps: float) -> BumpFunction:
         derivative_bound=2.0 * eps / delta,
         l2_deriv_norm=l2,
     )
-    assert b.l2_deriv_norm <= 2.0 * math.sqrt(2.0 * eps / delta) + 1e-15
+    if not b.l2_deriv_norm <= 2.0 * math.sqrt(2.0 * eps / delta) + 1e-15:
+        raise AssertionError(f"bump derivative norm {b.l2_deriv_norm!r} exceeds its bound")
     return b
 
 
@@ -147,35 +148,6 @@ class FourierCheck(NamedTuple):
     passed: bool
 
 
-def _kernel_projector_apply(d_v, delta: float, xi: np.ndarray) -> np.ndarray:
-    """Apply the kernel projection of d_v to xi, enforcing the spectral gap
-    (-delta, delta) around an eigenvalue exactly at 0."""
-    r = _raw(d_v)
-    tol = 1e-9 * max(1.0, op_norm(r))
-    if tol >= delta:
-        raise PreconditionError("gap delta is below the kernel tolerance")
-
-    def project_block(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        vals, vecs = np.linalg.eigh(mat)
-        bad = (np.abs(vals) >= tol) & (np.abs(vals) < delta)
-        if np.any(bad):
-            raise PreconditionError(
-                f"spectral gap violated: eigenvalue {vals[bad][0]:.6g} inside "
-                f"(-{delta:.6g}, {delta:.6g})")
-        keep = np.abs(vals) < tol
-        basis = vecs[:, keep]
-        return basis @ (basis.conj().T @ vec)
-
-    if isinstance(r, BlockDiagonalOperator):
-        out = np.empty_like(xi)
-        full = r.full_blocks()
-        for b in range(r.n_blocks):
-            ix = r.index_blocks[b]
-            out[ix] = project_block(full[b], xi[ix])
-        return out
-    return project_block(r, xi)
-
-
 def fourier_projection_check(d_v, delta: float, eps: float,
                              xi: np.ndarray) -> FourierCheck:
     """Check  |xi - p xi| <= 4*sqrt(2*eps/delta) * (|xi| + |(1/eps) d_v xi|)
@@ -183,15 +155,16 @@ def fourier_projection_check(d_v, delta: float, eps: float,
     around 0 to be clean."""
     if not (delta > 0 and eps > 0):
         raise PreconditionError("delta and eps must be positive")
-    r = _raw(d_v)
     xi = np.asarray(xi, dtype=complex)
-    if xi.shape != (operator_dim(r),):
+    if xi.shape != (operator_dim(d_v),):
         raise PreconditionError("vector length does not match d_v")
-    pxi = _kernel_projector_apply(r, delta, xi)
+    v, kept = _kernel_eigenvectors(d_v, gap=delta)
+    pxi = np.empty_like(xi)
+    for ix, k in zip(v.index_blocks, kept):
+        pxi[ix] = k @ (k.conj().T @ xi[ix])
     lhs = float(np.linalg.norm(xi - pxi))
-    dxi = r.apply(xi) if isinstance(r, BlockDiagonalOperator) else r @ xi
     rhs = 4.0 * math.sqrt(2.0 * eps / delta) * float(
-        np.linalg.norm(xi) + np.linalg.norm(dxi) / eps)
+        np.linalg.norm(xi) + np.linalg.norm(_apply(d_v, xi)) / eps)
     return FourierCheck(lhs, rhs, lhs <= rhs + 1e-10)
 
 
@@ -201,11 +174,6 @@ class ComparisonCheck(NamedTuple):
     lhs: float
     rhs: float
     passed: bool
-
-
-def _dense(op) -> np.ndarray:
-    r = _raw(op)
-    return r.to_dense() if isinstance(r, BlockDiagonalOperator) else r
 
 
 def comparison_check(cliff, components: Sequence, a, F: Iterable[int],
@@ -275,26 +243,6 @@ class ExpectationReport:
                 and self.compression_defect <= 1e-9)
 
 
-def _subspace_norm(op, indices: np.ndarray) -> float:
-    """Norm of the compression of op to the given index set."""
-    r = _raw(op)
-    if isinstance(r, BlockDiagonalOperator):
-        wanted = set(indices.tolist())
-        repeated = r.blocks.shape[0] == 1
-        sel = []
-        for b in range(r.n_blocks):
-            hits = [i for i, g in enumerate(r.index_blocks[b]) if int(g) in wanted]
-            if not hits:
-                continue
-            blk = r.blocks[0] if repeated else r.blocks[b]
-            if len(hits) == r.block_dim:
-                sel.append(blk)
-            else:
-                sel.append(blk[np.ix_(hits, hits)])
-        return max((op_norm(s) for s in sel), default=0.0)
-    return op_norm(r[np.ix_(indices, indices)])
-
-
 def expectation_lipschitz_check(dec, a: AlgebraElement) -> ExpectationReport:
     """Evaluate the three expectation bounds for one algebra element of a
     decomposed model.  Failures are reported in the margins, never raised."""
@@ -312,21 +260,20 @@ def _expectation_report(dec, a: AlgebraElement, vertical: float = None,
     if fixed:
         deviation = 0.0
     else:
-        deviation = op_norm(_as_dense_or_block_diff(a.matrix, ea.matrix))
+        deviation = op_norm(_sum(a.matrix, ea.matrix, -1.0))
     if vertical is None:
-        vertical = op_norm(commutator(_raw(dec.d_v), _raw(a.matrix)))
+        vertical = op_norm(commutator(dec.d_v, a.matrix))
     if ch is None and (h_a is None or fixed):
-        ch = commutator(_raw(dec.d_h), _raw(a.matrix))
+        ch = commutator(dec.d_h, a.matrix)
     if h_a is None:
         h_a = op_norm(ch)
     cmvt = dec.group_dim * dec.group_diameter
     if fixed:
         ch_e, h_e = ch, h_a
     else:
-        ch_e = commutator(_raw(dec.d_h), _raw(ea.matrix))
+        ch_e = commutator(dec.d_h, ea.matrix)
         h_e = op_norm(ch_e)
-    kernel_ix = dec.kernel_indices()
-    compressed = _subspace_norm(ch_e, kernel_ix)
+    compressed = op_norm(compress_to_indices(ch_e, dec.kernel_indices()))
     return ExpectationReport(
         deviation=deviation,
         vertical_lip=vertical,
@@ -338,13 +285,6 @@ def _expectation_report(dec, a: AlgebraElement, vertical: float = None,
         compressed_norm=compressed,
         compression_defect=abs(compressed - h_e),
     )
-
-
-def _as_dense_or_block_diff(x, y):
-    rx, ry = _raw(x), _raw(y)
-    if isinstance(rx, BlockDiagonalOperator) and isinstance(ry, BlockDiagonalOperator):
-        return rx.add(ry.scaled(-1.0))
-    return _dense(rx) - _dense(ry)
 
 
 # ------------------------------------------------------------ hypothesis audit
@@ -391,9 +331,7 @@ def _audit_sample_margins(dec, eps_list, rng, herm_basis, exact_vertical=False):
     with d_v exactly, so by linearity [d_v, a] = 0 for every sampled a and
     the rescaled commutator equals the horizontal one at all eps."""
     a = sample_self_adjoint(dec.total, rng, herm_basis)
-    dh, dv = _raw(dec.d_h), _raw(dec.d_v)
-    am = _raw(a.matrix)
-    ch = commutator(dh, am)
+    ch = commutator(dec.d_h, a.matrix)
     h_norm = op_norm(ch)
     m1 = m2 = -math.inf
     if exact_vertical:
@@ -402,14 +340,10 @@ def _audit_sample_margins(dec, eps_list, rng, herm_basis, exact_vertical=False):
             m1 = max(m1, 0.0)
             m2 = max(m2, -dec.comparison_constant * eps * h_norm)
     else:
-        cv = commutator(dv, am)
+        cv = commutator(dec.d_v, a.matrix)
         v_norm = op_norm(cv)
         for eps in eps_list:
-            if isinstance(ch, BlockDiagonalOperator):
-                ce = ch.add(cv.scaled(1.0 / eps))
-            else:
-                ce = ch + cv / eps
-            e_norm = op_norm(ce)
+            e_norm = op_norm(_sum(ch, cv, eps))
             m1 = max(m1, h_norm - e_norm)
             m2 = max(m2, v_norm - dec.comparison_constant * eps * e_norm)
     rep = _expectation_report(dec, a, vertical=v_norm, h_a=h_norm, ch=ch)
@@ -445,20 +379,13 @@ def hypothesis_audit(dec, eps_list: Sequence[float] = (1.0, 0.5, 0.25),
     # (bitwise zero, as in the lattice block models), linearity settles the
     # vertical commutator of every sample and the per-sample cost drops to
     # the horizontal part.
-    dv_raw = _raw(dec.d_v)
     exact_vertical = all(
-        op_norm(commutator(dv_raw, _raw(b))) == 0.0
+        op_norm(commutator(dec.d_v, b)) == 0.0
         for b in dec.total.algebra_basis)
 
-    def run(child):
-        return _audit_sample_margins(dec, eps_list, np.random.default_rng(child),
+    margins = [_audit_sample_margins(dec, eps_list, np.random.default_rng(child),
                                      herm_basis, exact_vertical)
-
-    if samples >= 8 and worker_count() > 1:
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            margins = list(pool.map(run, children))
-    else:
-        margins = [run(c) for c in children]
+               for child in children]
 
     worst1 = max(m[0] for m in margins)
     worst2 = max(m[1] for m in margins)
@@ -468,11 +395,10 @@ def hypothesis_audit(dec, eps_list: Sequence[float] = (1.0, 0.5, 0.25),
     wit6 = f"sample {int(np.argmax([m[2] for m in margins]))}"
 
     # (3): vertical Dirac vs base algebra
-    dv = _raw(dec.d_v)
     base_elements = dec.base_basis()
     worst3, wit3 = 0.0, "none"
     for i, b in enumerate(base_elements):
-        n = op_norm(commutator(dv, _raw(b.matrix)))
+        n = op_norm(commutator(dec.d_v, b.matrix))
         if n > worst3:
             worst3, wit3 = n, f"base element {i}"
 
@@ -483,10 +409,10 @@ def hypothesis_audit(dec, eps_list: Sequence[float] = (1.0, 0.5, 0.25),
     mask[kernel_ix] = 1.0
     worst4, wit4 = 0.0, "none"
     for i, b in enumerate(base_elements):
-        n = projection_commutator_norm(mask, _raw(b.matrix))
+        n = projection_commutator_norm(mask, b.matrix)
         if n > worst4:
             worst4, wit4 = n, f"[p, base element {i}]"
-    n = projection_commutator_norm(mask, _raw(dec.d_h))
+    n = projection_commutator_norm(mask, dec.d_h)
     if n > worst4:
         worst4, wit4 = n, "[p, d_h]"
 
@@ -517,10 +443,10 @@ def _compressed_metric_nullity(dec, kernel_ix: np.ndarray):
     """Dimension of the kernel of  b -> [p d_h p, p b p]  over the base span,
     together with the singular-value gap certifying it.  Metric means the
     kernel is exactly the scalars (dimension one)."""
-    d_base = compress_to_indices(_raw(dec.d_h), kernel_ix)
+    d_base = compress_to_indices(dec.d_h, kernel_ix)
     cols = []
     for b in dec.base_basis():
-        bc = compress_to_indices(_raw(b.matrix), kernel_ix)
+        bc = compress_to_indices(b.matrix, kernel_ix)
         cols.append(commutator(d_base, bc).ravel())
     lmap = np.stack(cols, axis=1)
     s = np.linalg.svd(lmap, compute_uv=False)

@@ -17,10 +17,9 @@ from scipy.optimize import linprog, minimize
 
 from .core import (
     AlgebraElement,
-    BlockDiagonalOperator,
     PreconditionError,
     SpectralTripleModel,
-    _raw,
+    _dense,
     hermitian_coefficient_basis,
     lip_seminorm,
     op_norm,
@@ -31,11 +30,6 @@ CERTIFICATE_SLACK = 1e-9
 
 #: parameter cap for the brute-force oracle, after gauge reduction
 ORACLE_MAX_PARAMS = 4
-
-
-def _dense(op) -> np.ndarray:
-    r = _raw(op)
-    return r.to_dense() if isinstance(r, BlockDiagonalOperator) else r
 
 
 # ------------------------------------------------------------------- states
@@ -93,6 +87,9 @@ def vertex_state(model: SpectralTripleModel, vertex: int,
     structure = model.structure
     if structure is None or not hasattr(structure, "vertex_slots"):
         raise PreconditionError("model carries no graph structure")
+    if not 0 <= vertex < len(structure.vertex_slots):
+        raise PreconditionError(
+            f"vertex {vertex} out of range for {len(structure.vertex_slots)} vertices")
     slots = structure.vertex_slots[vertex]
     rho = np.zeros((model.hilbert_dim,) * 2, dtype=complex)
     for s in slots:
@@ -189,8 +186,8 @@ class DistanceResult:
 
 def _check_certificate(model: SpectralTripleModel, cert: AlgebraElement) -> None:
     lip = lip_seminorm(model, cert)
-    assert lip <= 1.0 + CERTIFICATE_SLACK, \
-        f"certificate violates the seminorm bound: {lip!r}"
+    if not lip <= 1.0 + CERTIFICATE_SLACK:
+        raise AssertionError(f"certificate violates the seminorm bound: {lip!r}")
 
 
 # ------------------------------------------------- exact transport distance

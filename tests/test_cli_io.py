@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,6 @@ from collapselab.cli_io import (
     EXIT_WINDOW,
     ModelSpecFile,
     SchemaError,
-    _apply_thread_cap,
     _fmt,
     _jsonable,
     _write_text,
@@ -104,16 +102,6 @@ def test_atomic_write(tmp_path):
     _write_text(str(target), "second\n")
     assert target.read_text() == "second\n"
     assert list(tmp_path.iterdir()) == [target]   # no temp litter
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("COLLAPSE_LAB_THREADS", "1")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
-    _apply_thread_cap()
-    assert os.environ["OMP_NUM_THREADS"] == "1"
-    # existing settings win over the cap
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
 
 
 # ------------------------------------------------------------- model loading
@@ -343,3 +331,28 @@ def test_exit_code_contract(tmp_path):
 
     missing = tmp_path / "absent.json"
     assert main(["build", "--model", str(missing)]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["spectrum", "--model", "{two_point}", "--eps", "abc"], EXIT_PARSE),
+    (["build", "--model", "{word_g_base}"], EXIT_PARSE),
+    (["distance", "--model", "{two_point}", "--states", "vertex:0,vertex:7"],
+     EXIT_PRECONDITION),
+    (["build", "--model", "{two_point}", "--out", "{tmp}/absent/x.json"], EXIT_PARSE),
+    (["distance", "--model", "{two_point}", "--states", "density:{tmp}/absent.json,vertex:1"],
+     EXIT_PARSE),
+], ids=["eps-not-a-number", "g_base-not-a-number", "vertex-out-of-range",
+        "out-dir-missing", "density-file-missing"])
+def test_malformed_input_exit_codes(argv, code, tmp_path, capsys):
+    word = tmp_path / "word.json"
+    word.write_text(ModelSpecFile(1, "torus", {
+        "g_base": "one", "g_fiber": 1, "theta": [[0.0, 0.0], [0.0, 0.0]],
+        "cutoff": 1}, 0).emit())
+    argv = [a.format(two_point=_fixture("two_point"), word_g_base=word, tmp=tmp_path)
+            for a in argv]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:     # argparse rejects a malformed flag value
+        rc = exc.code
+    assert rc == code
+    assert "Traceback" not in capsys.readouterr().err

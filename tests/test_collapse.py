@@ -1,6 +1,7 @@
 """Rescaling, compression, sweep, and convergence-report behavior."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from collapselab.builders import (
     build_two_point_model,
     make_clifford,
 )
+from collapselab.cli_io import load_model
 from collapselab.collapse import (
     WindowError,
     compress_base,
@@ -27,11 +29,13 @@ from collapselab.collapse import (
     unitary_restriction_check,
 )
 from collapselab.core import (
+    BlockDiagonalOperator,
     HermitianOperator,
     PreconditionError,
     SpectralTripleModel,
     _raw,
     commutator,
+    compress_to_indices,
     hermitian_spectrum,
     op_norm,
     projection_commutator_norm,
@@ -347,3 +351,30 @@ def test_track_report_torus_growth_bound():
     assert len(rep.zero_tracks) == 10
     assert all(g.growth_margin_min >= -1e-9 for g in rep.nonzero_sectors)
     assert all(z.distance_to_base <= 1e-9 for z in rep.zero_tracks)
+
+
+@pytest.mark.parametrize("fixture", ["crossed_d1", "torus_g1f1"])
+def test_one_block_form_matches_dense(fixture):
+    """A dense matrix is the one-block case: wrapping every operator of a
+    dense model as a single block leaves each value bit for bit unchanged."""
+    models = Path(__file__).resolve().parent.parent / "models"
+    dec = load_model(str(models / f"{fixture}.json")).decomposition
+    n = dec.total.hilbert_dim
+
+    def one_block(m):
+        return BlockDiagonalOperator(n, np.arange(n)[None], np.asarray(m)[None])
+
+    kernel_ix = dec.kernel_indices()
+    mask = np.zeros(n)
+    mask[kernel_ix] = 1.0
+    for m in (dec.d_h, dec.d_v) + dec.total.algebra_basis:
+        b = one_block(m)
+        assert op_norm(b) == op_norm(m)
+        assert np.array_equal(compress_to_indices(b, kernel_ix),
+                              compress_to_indices(m, kernel_ix))
+        assert projection_commutator_norm(mask, b) == projection_commutator_norm(mask, m)
+    for m in (dec.d_h, dec.d_v):
+        assert np.array_equal(hermitian_spectrum(one_block(m)), hermitian_spectrum(m))
+    p = kernel_projection(one_block(dec.d_v), gap=dec.vertical_gap)
+    assert isinstance(p, BlockDiagonalOperator)
+    assert np.array_equal(p.to_dense(), kernel_projection(dec.d_v, gap=dec.vertical_gap))

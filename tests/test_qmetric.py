@@ -3,6 +3,10 @@ diameters, and the point-collapse builder that consumes them."""
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,3 +419,22 @@ def test_distance_result_pair_view():
     value, cert = res.as_pair()
     assert value == res.value and cert is res.certificate
     assert isinstance(res, DistanceResult)
+
+
+def test_certificate_check_holds_under_optimize_flag():
+    """The seminorm check on distance certificates is a raise, not an
+    assert, so it survives python -O."""
+    code = (
+        "import collapselab.qmetric as q\n"
+        "from collapselab.builders import build_two_point_model\n"
+        "m = build_two_point_model(2.0)\n"
+        "q.lip_seminorm = lambda model, cert: 2.0\n"
+        "try:\n"
+        "    q._check_certificate(m, m.identity_element())\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
