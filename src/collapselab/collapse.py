@@ -20,6 +20,7 @@ from .core import (
     _kernel_eigenvectors,
     _like,
     _max_abs,
+    _pair,
     _view,
     compress_to_indices,
     hermitian_spectrum,
@@ -245,7 +246,7 @@ def sweep(dec, eps_grid: Sequence[float] = None, window: float = None) -> EpsSwe
     if codes is not None:
         _check_sector_invariance(dec, codes)
         label_of_code = sorted({tuple(l) for l in dec.sector_labels})
-        sectors = dec.sector_index_sets()
+        sectors = None   # built only if some eps has blocks across sectors
 
     spectra = np.empty((n_eps, dim))
     sector_vals: Dict[tuple, list] = {}
@@ -262,6 +263,8 @@ def sweep(dec, eps_grid: Sequence[float] = None, window: float = None) -> EpsSwe
             for b, c in enumerate(block_codes):
                 per_sector.setdefault(label_of_code[c], []).append(vals[b])
         else:
+            if sectors is None:
+                sectors = dec.sector_index_sets()
             for lab, ix in sectors.items():
                 sub = compress_to_indices(d_eps, ix)
                 per_sector[lab] = [np.linalg.eigvalsh(sub)]
@@ -327,33 +330,39 @@ def unitary_restriction_check(dec, eps: float, t: float) -> float:
 
     Both exponentials are computed through Hermitian eigendecompositions, so
     each side is unitary to solver accuracy; a defect above roundoff means
-    the kernel subspace fails to reduce the evolution.
+    the kernel subspace fails to reduce the evolution.  Rows outside the
+    blocks that meet the kernel vanish on both sides, so the norm is taken
+    over the rows of those blocks only, and D_eps is formed on them alone.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     kernel_ix = dec.kernel_indices()
-    dim = dec.total.hilbert_dim
+    k = len(kernel_ix)
+    if k == 0:
+        return 0.0
 
-    # evolution applied to the kernel columns, over the blocks they meet
-    v = _view(dec.dirac_at(eps))
-    lhs = np.zeros((dim, len(kernel_ix)), dtype=complex)
-    pos = np.full(dim, -1, dtype=np.int64)
-    pos[kernel_ix] = np.arange(len(kernel_ix))
-    for g, blk in zip(v.index_blocks, v.full):
+    # compressed evolution on the kernel
+    vals, vecs = np.linalg.eigh(compress_to_indices(dec.d_h, kernel_ix))
+    r = (vecs * np.exp(1j * t * vals)) @ vecs.conj().T
+
+    # per block that meets the kernel: its rows of the evolution applied to
+    # the kernel columns, minus the compressed evolution on its kernel rows
+    vh, vv = _pair(dec.d_h, dec.d_v)
+    pos = np.full(vh.dim, -1, dtype=np.int64)
+    pos[kernel_ix] = np.arange(k)
+    rows = []
+    for b, g in enumerate(vh.index_blocks):
         p = pos[g]
         local = np.flatnonzero(p >= 0)
         if local.size:
-            vals, vecs = np.linalg.eigh(blk)
+            vals, vecs = np.linalg.eigh(vh.full[b] + vv.full[b] / eps)
             u = (vecs * np.exp(1j * t * vals)) @ vecs.conj().T
-            lhs[np.ix_(g, p[local])] = u[:, local]
+            diff = np.zeros((len(g), k), dtype=complex)
+            diff[:, p[local]] = u[:, local]
+            diff[local] -= r[p[local]]
+            rows.append(diff)
 
-    # compressed evolution, embedded back on the kernel rows
-    b_mat = compress_to_indices(dec.d_h, kernel_ix)
-    vals, vecs = np.linalg.eigh(b_mat)
-    rhs = np.zeros_like(lhs)
-    rhs[kernel_ix] = (vecs * np.exp(1j * t * vals)) @ vecs.conj().T
-
-    return float(np.linalg.norm(lhs - rhs, ord=2))
+    return float(np.linalg.norm(np.concatenate(rows), ord=2))
 
 
 # ------------------------------------------------------- convergence report

@@ -356,3 +356,44 @@ def test_malformed_input_exit_codes(argv, code, tmp_path, capsys):
         rc = exc.code
     assert rc == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_report_exit_code_on_failed_audit(tmp_path):
+    out = tmp_path / "bundle.json"
+    rc = main(["report", "--model", _fixture("crossed_adversarial"),
+               "--samples", "20", "--out", str(out)])
+    assert rc == EXIT_AUDIT
+    doc = json.loads(out.read_text())
+    assert doc["audit"]["all_passed"] is False
+    assert "sweep" in doc
+
+
+def _point_collapse_spec(path, state):
+    fixture = json.loads(Path(_fixture("point_collapse_c4")).read_text())
+    fixture["params"]["state"] = state
+    path.write_text(json.dumps(fixture))
+    return str(path)
+
+
+def test_point_collapse_state_forms(tmp_path):
+    # vertex 0 as a pure index and as a density: one state, one model
+    density = np.zeros((4, 4)).tolist()
+    density[0][0] = 1.0
+    pure, dens = (load_model(_point_collapse_spec(tmp_path / f"{name}.json", state))
+                  for name, state in (("pure", {"pure_index": 0}),
+                                      ("density", {"density": density})))
+    assert pure.decomposition.total.hilbert_dim == 4
+    assert np.allclose(pure.decomposition.expectation_matrix,
+                       dens.decomposition.expectation_matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("state", [
+    {"pure_index": "zero"},
+    {"density": [[1.0, 0.0], [0.0]]},
+    {"density": "identity"},
+    {"spin": 0},
+], ids=["pure-index-word", "density-ragged", "density-not-rows", "no-known-key"])
+def test_point_collapse_malformed_state(state, tmp_path, capsys):
+    path = _point_collapse_spec(tmp_path / "bad.json", state)
+    assert main(["build", "--model", path]) == EXIT_PARSE
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,10 +1,12 @@
 """Rescaling, compression, sweep, and convergence-report behavior."""
 
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from collapselab.builders import (
     DecomposedTripleModel,
@@ -328,6 +330,56 @@ def test_restriction_defect_crossed_product_sampled():
         assert unitary_restriction_check(cx, 0.3, float(tval)) <= 1e-8
     with pytest.raises(PreconditionError):
         unitary_restriction_check(cx, -1.0, 1.0)
+
+
+def test_restriction_defect_block_torus_matches_dense():
+    blocks = build_torus_triple(1, 1, np.zeros((2, 2)), 1, materialize="blocks")
+    dense = build_torus_triple(1, 1, np.zeros((2, 2)), 1, materialize="dense")
+    assert isinstance(_raw(blocks.d_h), BlockDiagonalOperator)
+    assert isinstance(_raw(dense.d_h), np.ndarray)
+    for eps, tval in ((1.0, 0.7), (0.25, 2.0), (2.0 ** -6, 1.3)):
+        got = unitary_restriction_check(blocks, eps, tval)
+        assert abs(got - unitary_restriction_check(dense, eps, tval)) <= 1e-14
+
+
+def test_restriction_defect_planted_blocks_match_dense():
+    # two blocks over scattered indices; the kernel {0, 6, 7} covers part of
+    # each, and d_h couples it to the rest, so the defect is far from zero
+    n = 8
+    index_blocks = np.array([[5, 0, 3, 6], [1, 7, 2, 4]])
+    rng = np.random.default_rng(17)
+    h = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+    h = (h + h.conj().transpose(0, 2, 1)) / 4
+    w = np.zeros((2, 4, 4), dtype=complex)
+    w[0, [0, 2], [0, 2]] = (1.0, -2.0)
+    w[1, [0, 2, 3], [0, 2, 3]] = (2.0, 1.0, -1.0)
+    bh = BlockDiagonalOperator(n, index_blocks, h)
+    bv = BlockDiagonalOperator(n, index_blocks, w)
+    dh, dv = bh.to_dense(), bv.to_dense()
+    dense = _manual_split(dh, dv)
+    block = dataclasses.replace(dense, d_h=bh, d_v=bv)
+    kernel = block.kernel_indices()
+    assert list(kernel) == [0, 6, 7]
+    # the norm comes from the first block's rows in the first pair and from
+    # the second block's rows in the other two
+    for eps, tval in ((1.0, 0.5), (0.5, 1.0), (1.0, 2.0)):
+        lhs = expm(1j * tval * (dh + dv / eps))[:, kernel]
+        rhs = np.zeros_like(lhs)
+        rhs[kernel] = expm(1j * tval * dh[np.ix_(kernel, kernel)])
+        got = unitary_restriction_check(block, eps, tval)
+        assert got > 0.1
+        assert abs(got - unitary_restriction_check(dense, eps, tval)) <= 1e-14
+        assert abs(got - np.linalg.norm(lhs - rhs, ord=2)) <= 1e-12
+
+
+def test_restriction_defect_empty_kernel():
+    dense = _manual_split(np.diag([1.0, 2.0]), np.diag([1.0, -3.0]))
+    assert unitary_restriction_check(dense, 0.5, 1.0) == 0.0
+    block = dataclasses.replace(dense, d_h=BlockDiagonalOperator(
+        2, [[0], [1]], [[[1.0]], [[2.0]]]), d_v=BlockDiagonalOperator(
+        2, [[0], [1]], [[[1.0]], [[-3.0]]]))
+    assert block.kernel_indices().size == 0
+    assert unitary_restriction_check(block, 0.5, 1.0) == 0.0
 
 
 # ------------------------------------------------------ convergence report
