@@ -20,9 +20,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
+    DENSE_LIMIT,
     AlgebraElement,
     BlockDiagonalOperator,
-    HermitianOperator,
     PreconditionError,
     SpectralTripleModel,
     _dense,
@@ -59,10 +59,6 @@ _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _EYE2 = np.eye(2, dtype=complex)
 
 MAX_CLIFFORD_DIRECTIONS = 12
-
-# Dense matrices above this Hilbert dimension are avoided where a block
-# structure is available.
-DENSE_LIMIT = 2000
 
 
 def _kron_chain(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -230,8 +226,8 @@ class DecomposedTripleModel:
     expectation_matrix   -- (n_basis, n_basis) coefficient-space matrix of the
                             conditional expectation onto the base
     sector_labels        -- (hilbert_dim, group_dim) integer labels of the
-                            isotypic sector of each Hilbert basis vector, or
-                            None when the model does not expose the grading
+                            isotypic sector of each Hilbert basis vector;
+                            None puts every index in the one sector (0,)
     group_dim            -- number of circle factors acting vertically
     group_diameter       -- diameter constant entering the expectation bound
     vertical_gap         -- least nonzero |eigenvalue| of d_v
@@ -253,9 +249,10 @@ class DecomposedTripleModel:
     reliable_window: float = math.inf
     _kernel_cache: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
-    @property
-    def label(self) -> str:
-        return self.total.label
+    def __post_init__(self):
+        if self.sector_labels is None:
+            object.__setattr__(self, "sector_labels", np.zeros(
+                (self.total.hilbert_dim, 1), dtype=np.int64))
 
     def base_basis(self) -> list:
         """The base subalgebra realized as elements of the total model."""
@@ -276,8 +273,6 @@ class DecomposedTripleModel:
 
     def sector_index_sets(self) -> "dict":
         """Map sector label tuple -> sorted index array, ordered by label."""
-        if self.sector_labels is None:
-            raise PreconditionError("model does not carry sector labels")
         groups: dict = {}
         for i, lab in enumerate(map(tuple, self.sector_labels)):
             groups.setdefault(lab, []).append(i)
@@ -475,7 +470,7 @@ def _torus_dense(g_base, g_fiber, theta, cutoff, weights, cap, cliff,
     total = SpectralTripleModel(
         hilbert_dim=dim,
         algebra_basis=tuple(basis),
-        dirac=HermitianOperator(dim, dirac_h + dirac_v),
+        dirac=dirac_h + dirac_v,
         label=name,
         grading=grading,
         identity_coefficients=identity_coeffs,
@@ -543,7 +538,7 @@ def _torus_blocks(g_base, g_fiber, theta, cutoff, weights, cap, cliff,
     total = SpectralTripleModel(
         hilbert_dim=dim,
         algebra_basis=tuple(basis),
-        dirac=HermitianOperator(dim, dirac_h.add(dirac_v)),
+        dirac=_sum(dirac_h, dirac_v),
         label=name,
         identity_coefficients=identity_coeffs,
     )
@@ -631,7 +626,7 @@ class CircleBundleBlockModel:
         total = SpectralTripleModel(
             hilbert_dim=dim,
             algebra_basis=(np.eye(dim, dtype=complex),),
-            dirac=HermitianOperator(dim, dirac_h + dirac_v),
+            dirac=dirac_h + dirac_v,
             label=label or f"circle-bundle[l={ell},k={self.k_min}..{self.k_max}]",
             grading=grading,
             identity_coefficients=np.array([1.0], dtype=complex),
@@ -717,7 +712,7 @@ def build_product_triple(even: SpectralTripleModel, vertical: np.ndarray,
     total = SpectralTripleModel(
         hilbert_dim=dim,
         algebra_basis=tuple(basis),
-        dirac=HermitianOperator(dim, dirac_h + dirac_v),
+        dirac=dirac_h + dirac_v,
         label=label or f"product[{even.label or 'even'}x{n2}]",
         identity_coefficients=even.identity_coefficients,
     )
@@ -833,7 +828,7 @@ def build_crossed_product_model(base: SpectralTripleModel, d: int, cutoff: int,
     total = SpectralTripleModel(
         hilbert_dim=dim,
         algebra_basis=tuple(basis),
-        dirac=HermitianOperator(dim, dirac_h + dirac_v),
+        dirac=dirac_h + dirac_v,
         label=label or f"crossed[{base.label or 'base'}xZ^{d},K={cutoff}]",
         grading=grading,
         identity_coefficients=identity_coeffs,
@@ -917,7 +912,7 @@ def build_point_collapse(model: SpectralTripleModel, state,
     total = SpectralTripleModel(
         hilbert_dim=model.hilbert_dim,
         algebra_basis=tuple(basis_rot),
-        dirac=HermitianOperator(model.hilbert_dim, dirac_rot),
+        dirac=dirac_rot,
         label=label or f"point-collapse[{model.label or 'model'}]",
         grading=grading_rot,
         identity_coefficients=model.identity_coefficients,
@@ -968,8 +963,6 @@ class GraphStructure:
         n = self.n_vertices
         rows, cols, vals = [], [], []
         for i, j, w in self.edges:
-            if abs(w) == 0:
-                continue
             rows += [i, j]
             cols += [j, i]
             vals += [1.0 / abs(w)] * 2
@@ -1030,7 +1023,7 @@ def build_graph_model(edges: Sequence[Tuple[int, int, complex]],
     return SpectralTripleModel(
         hilbert_dim=dim,
         algebra_basis=tuple(basis),
-        dirac=HermitianOperator(dim, dirac),
+        dirac=dirac,
         label=label or f"graph[{n}v{len(edges)}e]",
         structure=structure,
         identity_coefficients=np.ones(n, dtype=complex),
@@ -1088,7 +1081,7 @@ def build_cycle_adjacency_model(n: int, weight: float = 1.0,
     return SpectralTripleModel(
         hilbert_dim=n,
         algebra_basis=tuple(basis),
-        dirac=HermitianOperator(n, dirac),
+        dirac=dirac,
         label=label or f"cycle-adjacency[{n}]",
         structure=structure,
         identity_coefficients=np.ones(n, dtype=complex),

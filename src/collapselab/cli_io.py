@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    HermitianOperator,
     PreconditionError,
     SpectralTripleModel,
     hermitian_spectrum,
@@ -35,10 +34,11 @@ from .builders import (
     build_product_triple,
     build_torus_triple,
 )
-from .collapse import DEFAULT_EPS_GRID, WindowError, rescale, sweep
-from .estimates import DEFAULT_AUDIT_SEED, hypothesis_audit
+from .collapse import WindowError, rescale, sweep
+from .estimates import hypothesis_audit
 from .qmetric import (
     StateFunctional,
+    check_dense_limit,
     connes_distance,
     distance_bruteforce_oracle,
     pure_state,
@@ -244,10 +244,8 @@ def _inline_triple(obj, name: str) -> SpectralTripleModel:
     grading = None
     if obj.get("grading") is not None:
         grading = _matrix_from_json(obj["grading"], f"{name}.grading")
-    dim = dirac.shape[0]
     return SpectralTripleModel(
-        hilbert_dim=dim, algebra_basis=basis,
-        dirac=HermitianOperator(dim, dirac),
+        hilbert_dim=dirac.shape[0], algebra_basis=basis, dirac=dirac,
         label=str(obj.get("label", name)), grading=grading)
 
 
@@ -542,6 +540,7 @@ def cmd_distance(args) -> int:
         raise SchemaError(
             f"bad state {token!r}: use vertex:<i>, pure:<i>, or density:<file>")
 
+    check_dense_limit(model)   # before any dense state is built
     phi, psi = parse_state(tokens[0]), parse_state(tokens[1])
     lines = ["phi,psi,value,method,converged,tolerance"]
     if args.oracle:

@@ -101,7 +101,7 @@ def compress_base(dec) -> SpectralTripleModel:
     return SpectralTripleModel(
         hilbert_dim=len(kernel_ix),
         algebra_basis=basis,
-        dirac=HermitianOperator(len(kernel_ix), d_base),
+        dirac=d_base,
         label=f"{label}:base" if label else "base",
         identity_coefficients=coeffs,
     )
@@ -128,7 +128,7 @@ class EpsSweepResult:
     hausdorff_curve: Tuple[float, ...]
     bound_curve: Tuple[float, ...]
     base_spectrum: np.ndarray
-    tracking_method: str                   # "sector-exact" | "heuristic-nearest-neighbor"
+    tracking_method: str                   # always "sector-exact"
     vertical_gap: float
     horizontal_norm: float
 
@@ -166,13 +166,13 @@ def _directed_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.minimum(np.abs(a - right), np.abs(a - left))))
 
 
-def _sector_codes(dec) -> Optional[np.ndarray]:
-    """Integer code per Hilbert index identifying its sector, or None."""
-    if dec.sector_labels is None:
-        return None
+def _sector_codes(dec) -> Tuple[np.ndarray, list]:
+    """Integer code per Hilbert index identifying its sector, and the
+    ascending sector labels that the codes index."""
     labels = [tuple(l) for l in dec.sector_labels]
-    order = {lab: i for i, lab in enumerate(sorted(set(labels)))}
-    return np.array([order[lab] for lab in labels], dtype=np.int64)
+    label_of_code = sorted(set(labels))
+    order = {lab: i for i, lab in enumerate(label_of_code)}
+    return np.array([order[lab] for lab in labels], dtype=np.int64), label_of_code
 
 
 def _max_off_sector_entry(op, codes: np.ndarray) -> float:
@@ -242,19 +242,14 @@ def sweep(dec, eps_grid: Sequence[float] = None, window: float = None) -> EpsSwe
     dim = dec.total.hilbert_dim
     n_eps = len(grid)
 
-    codes = _sector_codes(dec)
-    if codes is not None:
-        _check_sector_invariance(dec, codes)
-        label_of_code = sorted({tuple(l) for l in dec.sector_labels})
-        sectors = None   # built only if some eps has blocks across sectors
+    codes, label_of_code = _sector_codes(dec)
+    _check_sector_invariance(dec, codes)
+    sectors = None   # built only if some eps has blocks across sectors
 
     spectra = np.empty((n_eps, dim))
     sector_vals: Dict[tuple, list] = {}
     for i, eps in enumerate(grid):
         d_eps = dec.dirac_at(eps)
-        if codes is None:
-            spectra[i] = hermitian_spectrum(d_eps)
-            continue
         view = _view(d_eps)
         block_codes = _blocks_match_sectors(view, codes)
         per_sector = {}
@@ -275,16 +270,11 @@ def sweep(dec, eps_grid: Sequence[float] = None, window: float = None) -> EpsSwe
             row.append(v)
         spectra[i] = np.sort(np.concatenate(row))
 
-    if codes is not None:
-        tracks = {}
-        for lab, per_eps in sector_vals.items():
-            arr = np.stack(per_eps)           # (n_eps, sector_dim)
-            for j in range(arr.shape[1]):
-                tracks[(lab, j)] = arr[:, j]
-        method = "sector-exact"
-    else:
-        tracks = _nearest_neighbor_tracks(spectra)
-        method = "heuristic-nearest-neighbor"
+    tracks = {}
+    for lab, per_eps in sector_vals.items():
+        arr = np.stack(per_eps)           # (n_eps, sector_dim)
+        for j in range(arr.shape[1]):
+            tracks[(lab, j)] = arr[:, j]
 
     hcurve = tuple(hausdorff_window(spectra[i], base_spec, window)
                    for i in range(n_eps))
@@ -302,25 +292,10 @@ def sweep(dec, eps_grid: Sequence[float] = None, window: float = None) -> EpsSwe
         hausdorff_curve=hcurve,
         bound_curve=bcurve,
         base_spectrum=base_spec,
-        tracking_method=method,
+        tracking_method="sector-exact",
         vertical_gap=float(dec.vertical_gap),
         horizontal_norm=float(op_norm(dec.d_h)),
     )
-
-
-def _nearest_neighbor_tracks(spectra: np.ndarray) -> Dict[Tuple[tuple, int], np.ndarray]:
-    """Chain eigenvalues between consecutive grid points by nearest unused
-    value.  Without invariant sectors, identities can swap at crossings;
-    callers see tracking_method == "heuristic-nearest-neighbor"."""
-    n_eps, dim = spectra.shape
-    paths = np.empty((n_eps, dim))
-    paths[0] = spectra[0]
-    for i in range(1, n_eps):
-        available = list(spectra[i])
-        for j in range(dim):
-            k = int(np.argmin([abs(v - paths[i - 1, j]) for v in available]))
-            paths[i, j] = available.pop(k)
-    return {((), j): paths[:, j] for j in range(dim)}
 
 
 # -------------------------------------------------------- restriction defect
@@ -412,8 +387,6 @@ def track_convergence_report(sw: EpsSweepResult, base_spectrum=None,
     labels = sw.sector_labels()
     zero_label = next(
         (lab for lab in labels if lab and all(x == 0 for x in lab)), None)
-    if zero_label is None and labels == [()]:
-        zero_label = ()   # heuristic sweep: all tracks treated as candidates
 
     zero_rows = []
     growth: Dict[tuple, list] = {}

@@ -37,6 +37,10 @@ __all__ = [
 # rejected, never symmetrized, so invariant violations surface at the boundary.
 HERMITICITY_RTOL = 1e-12
 
+#: Largest Hilbert dimension the library densifies.  Builders switch to the
+#: block form above it, and the state-distance solvers refuse such models.
+DENSE_LIMIT = 2000
+
 
 class PreconditionError(ValueError):
     """An operation's stated precondition does not hold for the given input."""
@@ -101,12 +105,6 @@ class HermitianOperator:
             m.flags.writeable = False
             object.__setattr__(self, "matrix", m)
 
-    def spectrum(self) -> np.ndarray:
-        return hermitian_spectrum(self)
-
-    def apply(self, xi: np.ndarray) -> np.ndarray:
-        return _apply(self.matrix, xi)
-
     def to_dense(self) -> np.ndarray:
         return _dense(self.matrix)
 
@@ -150,54 +148,17 @@ class BlockDiagonalOperator:
     def n_blocks(self) -> int:
         return self.index_blocks.shape[0]
 
-    @property
-    def block_dim(self) -> int:
-        return self.index_blocks.shape[1]
-
-    @property
-    def repeated(self) -> bool:
-        return self.blocks.shape[0] == 1 and self.n_blocks > 1
-
     def full_blocks(self) -> np.ndarray:
         """Blocks with the repeat axis expanded (view when possible)."""
         if self.blocks.shape[0] == self.n_blocks:
             return self.blocks
         return np.broadcast_to(self.blocks, (self.n_blocks,) + self.blocks.shape[1:])
 
-    def is_hermitian(self, rtol: float = HERMITICITY_RTOL) -> bool:
-        return is_hermitian(self.blocks, rtol)
-
-    def adjoint(self) -> "BlockDiagonalOperator":
-        return BlockDiagonalOperator(
-            self.dim, self.index_blocks, _adjoint_blocks(self.blocks))
-
-    def scaled(self, s: complex) -> "BlockDiagonalOperator":
-        return BlockDiagonalOperator(self.dim, self.index_blocks, s * self.blocks)
-
-    def add(self, other: "BlockDiagonalOperator") -> "BlockDiagonalOperator":
-        self._check_partner(other)
-        return BlockDiagonalOperator(
-            self.dim, self.index_blocks, self.blocks + other.blocks)
-
-    def matmul(self, other: "BlockDiagonalOperator") -> "BlockDiagonalOperator":
-        self._check_partner(other)
-        return BlockDiagonalOperator(
-            self.dim, self.index_blocks, self.blocks @ other.blocks)
-
-    def _check_partner(self, other: "BlockDiagonalOperator"):
-        if not isinstance(other, BlockDiagonalOperator):
-            raise PreconditionError("expected a block-diagonal operand")
-        if self.dim != other.dim or not np.array_equal(self.index_blocks, other.index_blocks):
-            raise PreconditionError("block partitions differ")
-
     def apply(self, xi: np.ndarray) -> np.ndarray:
         return _apply(self, xi)
 
     def to_dense(self) -> np.ndarray:
         return _dense(self)
-
-    def spectrum(self) -> np.ndarray:
-        return hermitian_spectrum(self)
 
 
 #: Operators the generic routines accept.
@@ -270,7 +231,10 @@ def _pair(a: OperatorLike, b: OperatorLike):
 def _sum(a: OperatorLike, b: OperatorLike, eps: float = 1.0):
     """``a + b / eps`` in the operands' common form; eps = -1 subtracts."""
     va, vb = _pair(a, b)
-    return _like(va, va.blocks + vb.blocks / eps)
+    out = np.empty(np.broadcast_shapes(va.blocks.shape, vb.blocks.shape), dtype=complex)
+    np.divide(vb.blocks, eps, out=out)   # one buffer: no b / eps temporary
+    np.add(va.blocks, out, out=out)
+    return _like(va, out)
 
 
 def _apply(op: OperatorLike, xi: np.ndarray) -> np.ndarray:
@@ -306,8 +270,6 @@ def _normal_sign(blocks: np.ndarray) -> int:
     are anti-Hermitian up to summation-order noise, far below the detector."""
     swapped = _adjoint_blocks(blocks)
     scale = _max_abs(blocks)
-    if scale == 0.0:
-        return 1
     if _max_abs(blocks - swapped) <= _NORMAL_DETECT_RTOL * scale:
         return 1
     if _max_abs(blocks + swapped) <= _NORMAL_DETECT_RTOL * scale:
@@ -399,24 +361,25 @@ class AlgebraElement:
         object.__setattr__(self, "coefficients", c)
 
 
-def basis_vector_stack(basis, hilbert_dim: int):
+def basis_vector_stack(basis):
     """Vectorized basis rows plus the matching identity vector.
 
-    When every basis element stores one block (a dense matrix, or one block
-    repeated over a shared partition), vectorization uses that single block;
-    the span geometry is the same up to a harmless overall scale, and the
-    expansion of large models is avoided entirely.  Otherwise operators
-    flatten blockwise (all model bases share one partition).
+    All basis elements must share one partition.  When every one stores one
+    block (a dense matrix, or one block repeated over the partition),
+    vectorization uses that single block; the span geometry is the same up
+    to a harmless overall scale, and the expansion of large models is
+    avoided entirely.  Otherwise operators and the identity flatten
+    blockwise.
     """
     views = [_view(b) for b in basis]
     first = views[0]
-    if all(v.blocks.shape[0] == 1 and np.array_equal(v.index_blocks, first.index_blocks)
-           for v in views):
-        bd = first.blocks.shape[1]
-        return np.stack([v.blocks[0].ravel() for v in views]), \
-            np.eye(bd, dtype=complex).ravel()
-    return np.stack([v.full.ravel() for v in views]), \
-        np.eye(hilbert_dim, dtype=complex).ravel()
+    if not all(np.array_equal(v.index_blocks, first.index_blocks) for v in views):
+        raise PreconditionError("algebra basis elements must share one block partition")
+    nb, bd = first.index_blocks.shape
+    eye = np.eye(bd, dtype=complex).ravel()
+    if all(v.blocks.shape[0] == 1 for v in views):
+        return np.stack([v.blocks[0].ravel() for v in views]), eye
+    return np.stack([v.full.ravel() for v in views]), np.tile(eye, nb)
 
 
 def projection_commutator_norm(mask: np.ndarray, op: OperatorLike) -> float:
@@ -472,19 +435,20 @@ class SpectralTripleModel:
     identity_coefficients: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.dirac, HermitianOperator):
+            object.__setattr__(self, "dirac",
+                               HermitianOperator(operator_dim(self.dirac), self.dirac))
         basis = tuple(self.algebra_basis)
         if not basis:
             raise PreconditionError("algebra basis is empty")
         for b in basis:
             if operator_dim(b) != self.hilbert_dim:
                 raise PreconditionError("basis matrix dimension mismatch")
-        if operator_dim(self.dirac) != self.hilbert_dim:
+        if self.dirac.dim != self.hilbert_dim:
             raise PreconditionError("Dirac dimension mismatch")
-        if not isinstance(self.dirac, HermitianOperator):
-            object.__setattr__(self, "dirac", HermitianOperator(self.hilbert_dim, self.dirac))
         object.__setattr__(self, "algebra_basis", basis)
 
-        v, ident = basis_vector_stack(basis, self.hilbert_dim)
+        v, ident = basis_vector_stack(basis)
         gram = v @ v.conj().T
         scale = np.max(np.abs(np.diag(gram)))
         eig = np.linalg.eigvalsh(gram)
@@ -498,13 +462,18 @@ class SpectralTripleModel:
         c_id.flags.writeable = False
         object.__setattr__(self, "identity_coefficients", c_id)
 
-        # adjoint closure of the span
+        # adjoint closure of the span; column i of the kept matrix holds the
+        # coefficients of adjoint(basis_i), which hermitian_coefficient_basis reads
         adj = tuple(self._adjoint_of(b) for b in basis)
-        w_all, _ = basis_vector_stack(adj, self.hilbert_dim)
-        for w in w_all:
+        w_all, _ = basis_vector_stack(adj)
+        jm = np.empty((len(basis), len(basis)), dtype=complex)
+        for i, w in enumerate(w_all):
             c_w = self._span_solve(v, gram, w)
             if np.linalg.norm(c_w @ v - w) > 1e-8 * (1.0 + np.linalg.norm(w)):
                 raise PreconditionError("algebra basis span is not closed under adjoints")
+            jm[:, i] = c_w
+        jm.flags.writeable = False
+        object.__setattr__(self, "_adjoint_coefficients", jm)
 
         if self.grading is not None:
             self._check_grading()
@@ -581,17 +550,10 @@ def hermitian_coefficient_basis(model: SpectralTripleModel) -> np.ndarray:
     span all such c over the reals.  Used by the samplers and the distance
     solvers, which optimize over self-adjoint elements only.
     """
-    basis = model.algebra_basis
-    n = len(basis)
-    v, _ = basis_vector_stack(basis, model.hilbert_dim)
-    gram = v @ v.conj().T
     # J: coefficients of each basis adjoint, so adjoint(sum c_i b_i) realizes
-    # as sum (J conj(c))_i b_i
-    adj = tuple(SpectralTripleModel._adjoint_of(b) for b in basis)
-    w_all, _ = basis_vector_stack(adj, model.hilbert_dim)
-    jm = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        jm[:, i] = np.linalg.solve(gram, v @ w_all[i].conj()).conj()
+    # as sum (J conj(c))_i b_i; solved once when the model was validated
+    jm = model._adjoint_coefficients
+    n = jm.shape[0]
     # fixed points of c -> J conj(c), as a real-linear problem on (Re c, Im c)
     a_r, a_i = jm.real, jm.imag
     top = np.hstack([a_r, a_i])
@@ -599,9 +561,6 @@ def hermitian_coefficient_basis(model: SpectralTripleModel) -> np.ndarray:
     m = np.vstack([top, bot]) - np.eye(2 * n)
     _, s, vh = np.linalg.svd(m)
     tol = max(s[0], 1.0) * 1e-9
-    if np.any(s <= tol):
-        null = vh[np.flatnonzero(s <= tol).min():]
-    else:
-        null = np.empty((0, 2 * n))
+    null = vh[s <= tol]      # s descends, so these are the trailing rows
     cols = null[:, :n] + 1j * null[:, n:]
     return cols.T

@@ -243,18 +243,16 @@ class ExpectationReport:
                 and self.compression_defect <= 1e-9)
 
 
-def expectation_lipschitz_check(dec, a: AlgebraElement) -> ExpectationReport:
+def expectation_lipschitz_check(dec, a: AlgebraElement, *, vertical: float = None,
+                                h_a: float = None, ch=None) -> ExpectationReport:
     """Evaluate the three expectation bounds for one algebra element of a
-    decomposed model.  Failures are reported in the margins, never raised."""
-    return _expectation_report(dec, a)
+    decomposed model.  Failures are reported in the margins, never raised.
 
-
-def _expectation_report(dec, a: AlgebraElement, vertical: float = None,
-                        h_a: float = None, ch=None) -> ExpectationReport:
-    """Shared implementation; callers that already hold the horizontal
-    commutator (ch) and the norms pass them in so the audit never recomputes
-    a 2n^3 product.  E(a) == a coefficient-wise short-circuits the deviation
-    and reuses ch for the compressed-norm comparison."""
+    Callers that already hold the horizontal commutator (ch) and the norms
+    |[d_v, a]| (vertical) and |[d_h, a]| (h_a) pass them in, so the audit
+    never recomputes a 2n^3 product.  E(a) == a coefficient-wise
+    short-circuits the deviation and reuses ch for the compressed-norm
+    comparison."""
     ea = dec.conditional_expectation(a)
     fixed = np.array_equal(ea.coefficients, a.coefficients)
     if fixed:
@@ -346,7 +344,7 @@ def _audit_sample_margins(dec, eps_list, rng, herm_basis, exact_vertical=False):
             e_norm = op_norm(_sum(ch, cv, eps))
             m1 = max(m1, h_norm - e_norm)
             m2 = max(m2, v_norm - dec.comparison_constant * eps * e_norm)
-    rep = _expectation_report(dec, a, vertical=v_norm, h_a=h_norm, ch=ch)
+    rep = expectation_lipschitz_check(dec, a, vertical=v_norm, h_a=h_norm, ch=ch)
     m6 = max(rep.deviation_margin, rep.horizontal_margin, rep.compression_defect)
     return m1, m2, m6
 

@@ -10,12 +10,13 @@ certificates, never presented as exact.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog, minimize
 
 from .core import (
+    DENSE_LIMIT,
     AlgebraElement,
     PreconditionError,
     SpectralTripleModel,
@@ -30,6 +31,19 @@ CERTIFICATE_SLACK = 1e-9
 
 #: parameter cap for the brute-force oracle, after gauge reduction
 ORACLE_MAX_PARAMS = 4
+
+#: seeded restarts of the projected ascent, and its step size at t = 1
+ASCENT_STARTS = 4
+ASCENT_STEP_SCALE = 0.5
+
+
+def check_dense_limit(model: SpectralTripleModel) -> None:
+    """The distance solvers work on dense states and dense commutators;
+    refuse a model whose Hilbert dimension exceeds DENSE_LIMIT."""
+    if model.hilbert_dim > DENSE_LIMIT:
+        raise PreconditionError(
+            f"Hilbert dimension {model.hilbert_dim} exceeds the dense limit "
+            f"{DENSE_LIMIT} of the state-distance solvers")
 
 
 # ------------------------------------------------------------------- states
@@ -242,8 +256,7 @@ def _transport_distance(ground: np.ndarray, p: np.ndarray, q: np.ndarray):
 
 def connes_distance(model: SpectralTripleModel, phi: StateFunctional,
                     psi: StateFunctional, iterations: int = 2000,
-                    seed: int = 0, starts: int = 4,
-                    step_scale: float = 0.5) -> DistanceResult:
+                    seed: int = 0) -> DistanceResult:
     """Distance between two states in the metric induced by the Dirac
     operator: the supremum of phi(a) - psi(a) over self-adjoint a with
     commutator norm at most one.
@@ -254,6 +267,7 @@ def connes_distance(model: SpectralTripleModel, phi: StateFunctional,
     the certificate always satisfies the constraint, so the value is safe
     even when the ascent has not found the optimum.
     """
+    check_dense_limit(model)
     if phi.dim != model.hilbert_dim or psi.dim != model.hilbert_dim:
         raise PreconditionError("state dimension does not match the model")
 
@@ -270,10 +284,10 @@ def connes_distance(model: SpectralTripleModel, phi: StateFunctional,
             _check_certificate(model, cert)
         return DistanceResult(float(value), cert, "exact-shortest-path", True)
 
-    return _ascent_distance(model, phi, psi, iterations, seed, starts, step_scale)
+    return _ascent_distance(model, phi, psi, iterations, seed)
 
 
-def _ascent_distance(model, phi, psi, iterations, seed, starts, step_scale):
+def _ascent_distance(model, phi, psi, iterations, seed):
     span = _HermitianSpan(model)
     delta = phi.density - psi.density
     g = span.objective_vector(delta)
@@ -301,9 +315,9 @@ def _ascent_distance(model, phi, psi, iterations, seed, starts, step_scale):
         return obj / lip, (g - (obj / lip) * dlip) / lip
 
     rng = np.random.default_rng(seed)
-    per_start = max(1, iterations // max(1, starts))
+    per_start = max(1, iterations // ASCENT_STARTS)
     best_value, best_x, converged = 0.0, None, False
-    for s in range(starts):
+    for s in range(ASCENT_STARTS):
         x = g.copy() if s == 0 else rng.standard_normal(len(g))
         x /= np.linalg.norm(x)
         local_best, local_x = -math.inf, None
@@ -324,7 +338,7 @@ def _ascent_distance(model, phi, psi, iterations, seed, starts, step_scale):
             gn = np.linalg.norm(grad)
             if gn <= 1e-15:
                 break
-            x = x + (step_scale / math.sqrt(t)) * grad / gn
+            x = x + (ASCENT_STEP_SCALE / math.sqrt(t)) * grad / gn
             x /= np.linalg.norm(x)
         if local_x is not None and local_best > best_value:
             best_value, best_x = local_best, local_x
@@ -360,6 +374,7 @@ def distance_bruteforce_oracle(model: SpectralTripleModel, phi: StateFunctional,
     candidates with a derivative-free local search.  The reported accuracy
     is the scatter of the polished top candidates plus solver tolerance.
     """
+    check_dense_limit(model)
     if phi.dim != model.hilbert_dim or psi.dim != model.hilbert_dim:
         raise PreconditionError("state dimension does not match the model")
     if resolution < 1:
@@ -445,6 +460,7 @@ def quantum_diameter(model: SpectralTripleModel, samples: int = 12,
     structure are sampled with Haar-random rank-one states and the result is
     a lower bound.
     """
+    check_dense_limit(model)
     span = _HermitianSpan(model)
     if span.n_params and _seminorm_nullity(span) > 1:
         return DiameterReport(math.inf, None, "degenerate", True)
@@ -488,77 +504,3 @@ def quantum_diameter(model: SpectralTripleModel, samples: int = 12,
         if d > best:
             best, pair = d, (a, b)
     return DiameterReport(float(best), pair, "sampled-ascent", False)
-
-
-# ------------------------------------------------ product distance inequality
-
-@dataclass(frozen=True)
-class ProductDistanceRow:
-    lhs: float
-    rhs_even: float
-    rhs_vertical: float
-    violation: float
-    methods: Tuple[str, str, str]
-
-
-@dataclass(frozen=True)
-class ProductDistanceReport:
-    rows: Tuple[ProductDistanceRow, ...]
-    max_violation: float
-    samples: int
-    seed: int
-
-
-def product_state_distance_check(even: SpectralTripleModel,
-                                 vertical: SpectralTripleModel,
-                                 samples: int = 5, seed: int = 0,
-                                 iterations: int = 800) -> ProductDistanceReport:
-    """Check that product-state distances on the graded product never exceed
-    the sum of the factor distances.
-
-    For product states the distance over the product algebra is controlled
-    by the factors; this runs the solvers on sampled quadruples and reports
-    the worst (lhs - rhs).  Factor distances use the oracle where its
-    parameter budget allows, so the right-hand side is not itself a loose
-    lower bound.
-    """
-    from .builders import build_product_triple
-    s_mat = _dense(vertical.dirac)
-    dec = build_product_triple(even, s_mat)
-    product = dec.total
-    svals, w = np.linalg.eigh(s_mat)       # product leg lives in this basis
-
-    def factor_distance(model, a, b):
-        span_dim = _HermitianSpan(model).reduced_directions().shape[1]
-        if span_dim <= ORACLE_MAX_PARAMS:
-            return distance_bruteforce_oracle(model, a, b).value, "oracle"
-        r = connes_distance(model, a, b, iterations=4 * iterations)
-        return r.value, r.method
-
-    rng = np.random.default_rng(seed)
-    rows = []
-    for s in range(samples):
-        phi = random_pure_state(even.hilbert_dim, rng)
-        mu = random_pure_state(even.hilbert_dim, rng)
-        if s == 0:
-            psi = nu = random_pure_state(vertical.hilbert_dim, rng)
-        else:
-            psi = random_pure_state(vertical.hilbert_dim, rng)
-            nu = random_pure_state(vertical.hilbert_dim, rng)
-        rot_psi = w.conj().T @ psi.density @ w
-        rot_nu = w.conj().T @ nu.density @ w
-        lhs_phi = StateFunctional(np.kron(phi.density, rot_psi))
-        lhs_mu = StateFunctional(np.kron(mu.density, rot_nu))
-        lhs = connes_distance(product, lhs_phi, lhs_mu,
-                              iterations=iterations, seed=seed + s)
-        rhs_e, method_e = factor_distance(even, phi, mu)
-        if psi is nu:
-            rhs_v, method_v = 0.0, "identical"
-        else:
-            rhs_v, method_v = factor_distance(vertical, psi, nu)
-        violation = lhs.value - (rhs_e + rhs_v)
-        rows.append(ProductDistanceRow(
-            lhs=lhs.value, rhs_even=rhs_e, rhs_vertical=rhs_v,
-            violation=violation, methods=(lhs.method, method_e, method_v)))
-    worst = max((r.violation for r in rows), default=0.0)
-    return ProductDistanceReport(tuple(rows), max(0.0, worst), samples, seed)

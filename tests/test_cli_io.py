@@ -397,3 +397,80 @@ def test_point_collapse_malformed_state(state, tmp_path, capsys):
     path = _point_collapse_spec(tmp_path / "bad.json", state)
     assert main(["build", "--model", path]) == EXIT_PARSE
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ------------------------------------------------- valid inputs, end to end
+
+def _spectrum_values(argv, tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert lines[0] == "index,eigenvalue"
+    return [float(line.split(",")[1]) for line in lines[1:]]
+
+
+def test_complex_matrix_entries(tmp_path):
+    # product_spin with the even Dirac sigma_y written as [re, im] entries;
+    # the spectrum is +-sqrt(1 + s^2) over the C4 eigenvalues s = -2, 0, 0, 2
+    doc = json.loads(Path(_fixture("product_spin")).read_text())
+    doc["params"]["even"]["dirac"] = [[0.0, [0.0, -1.0]], [[0.0, 1.0], 0.0]]
+    path = tmp_path / "product_sy.json"
+    path.write_text(json.dumps(doc))
+    values = _spectrum_values(["spectrum", "--model", str(path)], tmp_path)
+    r5 = math.sqrt(5.0)
+    assert np.allclose(values, [-r5, -r5, -1, -1, 1, 1, r5, r5], atol=1e-12)
+    d_h = load_model(str(path)).decomposition.d_h     # sigma_y (x) identity(4)
+    assert np.array_equal(d_h[::4, ::4], np.array([[0, -1j], [1j, 0]]))
+
+
+def test_crossed_product_phases(tmp_path):
+    # an antisymmetric twist changes the algebra, not the Dirac
+    doc = json.loads(Path(_fixture("crossed_d2")).read_text())
+    doc["params"]["phases"] = [[0.0, 0.5], [-0.5, 0.0]]
+    path = tmp_path / "crossed_d2_twisted.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "build.json"
+    assert main(["build", "--model", str(path), "--out", str(out)]) == EXIT_OK
+    plain = tmp_path / "plain.json"
+    assert main(["build", "--model", _fixture("crossed_d2"), "--out", str(plain)]) == EXIT_OK
+    twisted, untwisted = json.loads(out.read_text()), json.loads(plain.read_text())
+    for key in ("hilbert_dim", "algebra_dim", "sector_count", "vertical_gap"):
+        assert twisted[key] == untwisted[key], key
+    assert (_spectrum_values(["spectrum", "--model", str(path), "--eps", "0.5"], tmp_path)
+            == _spectrum_values(["spectrum", "--model", _fixture("crossed_d2"),
+                                 "--eps", "0.5"], tmp_path))
+    # basis 2 and 4 are the shifts q = (-1, 0) and (0, -1) times the base
+    # identity: they commute untwisted and fail to commute twisted
+    shifts = [load_model(p).model.algebra_basis
+              for p in (str(path), _fixture("crossed_d2"))]
+    twisted_c = shifts[0][2] @ shifts[0][4] - shifts[0][4] @ shifts[0][2]
+    plain_c = shifts[1][2] @ shifts[1][4] - shifts[1][4] @ shifts[1][2]
+    assert np.max(np.abs(twisted_c)) > 0.5
+    assert not np.any(plain_c)
+
+
+def test_spectrum_of_plain_model(capsys):
+    # no --out: the table goes to stdout
+    assert main(["spectrum", "--model", _fixture("two_point")]) == EXIT_OK
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "index,eigenvalue"
+    assert [float(row.split(",")[1]) for row in rows] == [-2.0, 2.0]
+
+
+def test_sweep_default_window_of_exact_model(tmp_path):
+    # product_spin resolves every eigenvalue (reliable window inf), so the
+    # window defaults to the norm of the total Dirac, sqrt(5)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--model", _fixture("product_spin"), "--out", str(out)]) == EXIT_OK
+    summary = json.loads((tmp_path / "sweep.summary.json").read_text())
+    assert summary["window"] == pytest.approx(math.sqrt(5.0), abs=1e-12)
+
+
+def test_distance_refuses_models_beyond_dense_limit(tmp_path, capsys):
+    # torus4_flat has dimension 9604: distance must exit 3 before densifying
+    rc = main(["distance", "--model", _fixture("torus4_flat"),
+               "--states", "pure:0,pure:1", "--out", str(tmp_path / "d.csv")])
+    assert rc == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "dense limit" in err and "Traceback" not in err
+    assert not (tmp_path / "d.csv").exists()

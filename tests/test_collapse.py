@@ -299,16 +299,19 @@ def test_sweep_grid_validation():
         sweep(t, window=2 * t.reliable_window)
 
 
-def test_sweep_heuristic_fallback_without_labels():
+def test_sweep_without_labels_is_one_sector():
     dec = _manual_split(np.diag([1.0, 2.0, 0.0, 0.0]),
                         np.diag([0.0, 0.0, 2.0, 2.0]))
+    assert np.array_equal(dec.sector_labels, np.zeros((4, 1), dtype=np.int64))
     sw = sweep(dec, eps_grid=[1.0, 0.5, 0.25], window=10.0)
-    assert sw.tracking_method == "heuristic-nearest-neighbor"
+    assert sw.tracking_method == "sector-exact"
+    assert sw.sector_labels() == [(0,)]
     assert sw.spectra.shape == (3, 4)
-    # tracks partition the spectrum at every grid point
-    for i in range(3):
-        vals = sorted(sw.sector_tracks[((), j)][i] for j in range(4))
-        assert vals == pytest.approx(list(sw.spectra[i]))
+    # the one sector's tracks are the ascending spectrum at every grid point
+    for i, eps in enumerate([1.0, 0.5, 0.25]):
+        expected = np.sort([1.0, 2.0, 2.0 / eps, 2.0 / eps])
+        assert [sw.track((0,), j)[i] for j in range(4)] == list(sw.spectra[i])
+        assert np.allclose(sw.spectra[i], expected, atol=1e-12)
 
 
 # ------------------------------------------------------- restriction defect

@@ -1,6 +1,9 @@
 """Core operator primitives: fixed oracles plus sampled invariants."""
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +165,27 @@ def block_pair():
     return rep, var
 
 
+def test_block_basis_with_distinct_blocks_matches_dense():
+    # a basis element whose blocks differ (not one repeated block) is
+    # vectorized blockwise and stacked in full
+    idx = np.array([[0, 1], [2, 3]])
+    basis = (BlockDiagonalOperator(4, idx, np.array([I2])),
+             BlockDiagonalOperator(4, idx, np.array([I2, 0 * I2])))
+    dirac = BlockDiagonalOperator(4, idx, np.array([SX, 2 * SX]))
+    block = SpectralTripleModel(4, basis, dirac)
+    dense = SpectralTripleModel(4, tuple(b.to_dense() for b in basis), dirac.to_dense())
+    hb = hermitian_coefficient_basis(block)
+    assert hb.shape == (2, 2)
+    assert np.allclose(hb, hermitian_coefficient_basis(dense), atol=1e-12)
+    c = np.array([0.5, 2.0 - 1.0j])
+    assert np.array_equal(block.element(c).matrix.to_dense(), dense.element(c).matrix)
+    a = block.element(hb @ np.array([0.3, -1.2]))
+    assert lip_seminorm(block, a) == pytest.approx(
+        lip_seminorm(dense, a.matrix.to_dense()), rel=1e-12)
+    with pytest.raises(PreconditionError, match="share one block partition"):
+        SpectralTripleModel(4, (np.eye(4, dtype=complex), basis[1]), dirac)
+
+
 def test_block_partition_validation():
     with pytest.raises(PreconditionError):
         BlockDiagonalOperator(4, np.array([[0, 1], [1, 2]]), np.array([SX, SX]))
@@ -274,3 +298,16 @@ def test_graph_norm_dominates_vector_norm(seed, n):
     d = (d + d.conj().T) / 2
     xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     assert graph_norm(d, xi) >= np.linalg.norm(xi) - 1e-12
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements; every check in the library must
+    # be an explicit raise so that it holds under any optimization flag
+    src = Path(__file__).resolve().parent.parent / "src" / "collapselab"
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    found = [f"{path.name}:{node.lineno}"
+             for path in modules
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -25,6 +25,7 @@ from collapselab.builders import (
     build_graph_model,
     build_path_graph_model,
     build_point_collapse,
+    build_product_triple,
     build_two_point_model,
 )
 from collapselab.qmetric import (
@@ -32,7 +33,6 @@ from collapselab.qmetric import (
     StateFunctional,
     connes_distance,
     distance_bruteforce_oracle,
-    product_state_distance_check,
     pure_state,
     quantum_diameter,
     random_pure_state,
@@ -347,23 +347,30 @@ def test_scalar_algebra_has_zero_diameter():
     assert rep.value == 0.0 and rep.method == "trivial"
 
 
-# ------------------------------------------------ product distance inequality
+# ------------------------------------------------- product-state distances
 
-def test_product_state_distances_subadditive():
+def test_product_state_ascent_matches_even_oracle():
+    # the product algebra acts on the first leg only, so the distance between
+    # product states is the even-factor distance of their first legs: the
+    # ascent on the product must reach the even factor's oracle value
     spin = _spin_model()
-    c4 = build_cycle_adjacency_model(4, 1.0)
-    rep = product_state_distance_check(spin, c4, samples=4, seed=11,
-                                       iterations=600)
-    assert rep.max_violation <= 1e-6
-    assert rep.rows[0].methods == ("ascent-lower-bound", "oracle", "identical")
-    assert rep.rows[0].rhs_vertical == 0.0
-    for row in rep.rows:
-        # product states on the first-leg algebra only see the first
-        # marginal, so lhs coincides with the even-factor distance
-        assert row.lhs == pytest.approx(row.rhs_even, abs=1e-6)
-    again = product_state_distance_check(spin, c4, samples=4, seed=11,
-                                         iterations=600)
-    assert [r.lhs for r in rep.rows] == [r.lhs for r in again.rows]
+    s_mat = build_cycle_adjacency_model(4, 1.0).dirac.to_dense()
+    product = build_product_triple(spin, s_mat).total
+    _, w = np.linalg.eigh(s_mat)           # the product's second leg basis
+    rng = np.random.default_rng(11)
+    for s in range(4):
+        phi = random_pure_state(2, rng)
+        mu = random_pure_state(2, rng)
+        psi = random_pure_state(4, rng)
+        nu = psi if s == 0 else random_pure_state(4, rng)
+        lhs = connes_distance(
+            product,
+            StateFunctional(np.kron(phi.density, w.conj().T @ psi.density @ w)),
+            StateFunctional(np.kron(mu.density, w.conj().T @ nu.density @ w)),
+            iterations=600, seed=11 + s)
+        even = distance_bruteforce_oracle(spin, phi, mu)
+        assert lhs.method == "ascent-lower-bound"
+        assert lhs.value == pytest.approx(even.value, abs=1e-6)
 
 
 # ------------------------------------------------------- point collapse input
@@ -411,6 +418,20 @@ def test_point_collapse_requires_finite_diameter():
                                HermitianOperator(2, np.diag([1.0, 0.0])), "half")
     with pytest.raises(PreconditionError, match="quantum diameter"):
         build_point_collapse(half, pure_state(2, 0))
+
+
+def test_distance_solvers_refuse_models_beyond_dense_limit(monkeypatch):
+    import collapselab.qmetric as qmetric
+    m = build_two_point_model(1.0)
+    phi, psi = vertex_state(m, 0), vertex_state(m, 1)
+    monkeypatch.setattr(qmetric, "DENSE_LIMIT", 1)
+    for solve in (lambda: connes_distance(m, phi, psi),
+                  lambda: distance_bruteforce_oracle(m, phi, psi),
+                  lambda: quantum_diameter(m)):
+        with pytest.raises(PreconditionError, match="dense limit 1"):
+            solve()
+    monkeypatch.setattr(qmetric, "DENSE_LIMIT", 2)   # the dimension itself passes
+    assert connes_distance(m, phi, psi).value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_distance_result_pair_view():
