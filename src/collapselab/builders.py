@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence, Tuple
 
@@ -247,7 +247,6 @@ class DecomposedTripleModel:
     vertical_gap: float
     comparison_constant: float
     reliable_window: float = math.inf
-    _kernel_cache: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sector_labels is None:
@@ -265,19 +264,33 @@ class DecomposedTripleModel:
     def kernel_indices(self) -> np.ndarray:
         """Hilbert-space indices spanning ker d_v (eigenbasis is coordinate
         in every builder here, so the kernel is an index set)."""
-        cached = self._kernel_cache
+        cached = getattr(self, "_kernel_cache", None)
         if cached is None:
             cached = _zero_eigenvector_indices(self.d_v, self.vertical_gap)
             object.__setattr__(self, "_kernel_cache", cached)
         return cached
 
+    def vertical_defects(self) -> tuple:
+        """|[d_v, b]| for each base element b, in base order.  Computed once
+        and kept as a plain attribute, not a field, so dataclasses.replace
+        never carries a table over to a model with another d_v."""
+        cached = getattr(self, "_vertical_defect_cache", None)
+        if cached is None:
+            cached = tuple(op_norm(commutator(self.d_v, b.matrix))
+                           for b in self.base_basis())
+            object.__setattr__(self, "_vertical_defect_cache", cached)
+        return cached
+
+    def sectors(self) -> Tuple[np.ndarray, list]:
+        """Sector code of each Hilbert index, and the ascending sector label
+        tuples the codes index."""
+        labels, codes = np.unique(self.sector_labels, axis=0, return_inverse=True)
+        return codes.reshape(-1), [tuple(lab) for lab in labels]
+
     def sector_index_sets(self) -> "dict":
         """Map sector label tuple -> sorted index array, ordered by label."""
-        groups: dict = {}
-        for i, lab in enumerate(map(tuple, self.sector_labels)):
-            groups.setdefault(lab, []).append(i)
-        return {lab: np.array(groups[lab], dtype=np.int64)
-                for lab in sorted(groups)}
+        codes, labels = self.sectors()
+        return {lab: np.flatnonzero(codes == c) for c, lab in enumerate(labels)}
 
     def dirac_at(self, eps: float):
         """The collapse family member d_h + d_v / eps as a raw operator."""
@@ -306,23 +319,18 @@ class DecomposedTripleModel:
         if np.linalg.norm(fix) > 1e-9 * max(1.0, np.linalg.norm(self.base_coefficients)):
             raise PreconditionError("expectation does not fix the base subalgebra")
         # max |eigenvalue| of d_v is its norm: one eigensolve serves both checks
-        spec_v = hermitian_spectrum(dv)
-        scale = max(1.0, float(np.max(np.abs(spec_v))))
+        kernel, least, scale = _spectral_kernel(hermitian_spectrum(dv))
         if check_base_commutation:
-            for b in self.base_basis():
-                c = op_norm(commutator(dv, b.matrix))
+            for c in self.vertical_defects():
                 if c > 1e-10 * scale:
                     raise PreconditionError(
                         f"base element fails to commute with d_v (norm {c:.3e})")
-        nonzero = np.abs(spec_v) > 1e-9 * scale
-        if not np.any(~nonzero):
+        if not kernel.any():
             raise PreconditionError("d_v has no kernel")
-        if np.any(nonzero):
-            least = float(np.min(np.abs(spec_v[nonzero])))
-            if least < self.vertical_gap * (1 - 1e-9) - 1e-12:
-                raise PreconditionError(
-                    f"vertical gap {self.vertical_gap} exceeds least nonzero "
-                    f"|eigenvalue| {least}")
+        if least < self.vertical_gap * (1 - 1e-9) - 1e-12:
+            raise PreconditionError(
+                f"vertical gap {self.vertical_gap} exceeds least nonzero "
+                f"|eigenvalue| {least}")
         if self.vertical_gap <= 0:
             raise PreconditionError("vertical gap must be positive")
         if self.group_dim < 1 or self.group_diameter <= 0:
@@ -332,6 +340,17 @@ class DecomposedTripleModel:
             raise PreconditionError("kernel index set is empty")
         if _column_norm(dv, ker) > 1e-9 * scale:
             raise PreconditionError("kernel indices do not annihilate d_v")
+
+
+def _spectral_kernel(spectrum: np.ndarray) -> Tuple[np.ndarray, float, float]:
+    """Kernel mask |lambda| <= 1e-9 * scale of a spectrum, its least nonzero
+    |lambda| (math.inf when every eigenvalue is in the kernel), and the scale
+    max(1, max |lambda|)."""
+    mod = np.abs(spectrum)
+    scale = max(1.0, float(np.max(mod)))
+    kernel = mod <= 1e-9 * scale
+    least = float(np.min(mod[~kernel])) if not kernel.all() else math.inf
+    return kernel, least, scale
 
 
 def _zero_eigenvector_indices(dv, gap: float) -> np.ndarray:
@@ -374,9 +393,13 @@ def build_torus_triple(g_base: int, g_fiber: int, theta, cutoff: int,
     phase pairing in `_twisted_shift_matrix`).  Weights default to 1/(2*pi)
     per direction, which puts the Dirac eigenvalue spacing at 1.
 
-    materialize: "dense", "blocks", or "auto" (blocks above DENSE_LIMIT).
-    The block form keeps only base-base twist phases; request it explicitly
-    only when theta does not couple base and fiber directions.
+    The two Dirac summands are built once, one block per fiber mode;
+    `materialize` picks only how the algebra is stored.  "dense" densifies
+    the summands and keeps the full monomial algebra and the chirality
+    grading.  "blocks" keeps the base monomials, one block repeated over the
+    fiber modes, so only base-base twist phases survive: request it only when
+    theta does not couple base and fiber directions.  "auto" picks blocks
+    above DENSE_LIMIT.
     """
     if g_base < 0 or g_fiber < 1:
         raise PreconditionError("need g_base >= 0 and g_fiber >= 1")
@@ -401,118 +424,28 @@ def build_torus_triple(g_base: int, g_fiber: int, theta, cutoff: int,
     if materialize == "auto":
         materialize = "dense" if dim <= DENSE_LIMIT else "blocks"
     if materialize == "blocks":
+        if g_base == 0:
+            raise PreconditionError(
+                "block materialization needs at least one base direction")
         coupling = theta[:g_base, g_base:]
-        if g_base and coupling.size and np.max(np.abs(coupling)) > 1e-12:
+        if coupling.size and np.max(np.abs(coupling)) > 1e-12:
             raise PreconditionError(
                 "block materialization requires theta with no base-fiber coupling")
 
-    base_weights = weights[:g_base]
-    fiber_weights = weights[g_base:]
-    vertical_gap = 2 * math.pi * min(fiber_weights)
-    group_diameter = max(1.0 / (2 * w) for w in fiber_weights)
-    reliable_window = math.pi * cutoff * min(weights)
-    comparison = math.sqrt(g_fiber)
-    name = label or f"torus[{g_base}+{g_fiber},K={cutoff}]"
-
-    if materialize == "dense":
-        return _torus_dense(g_base, g_fiber, theta, cutoff, weights, monomial_cap,
-                            cliff, vertical_gap, group_diameter, comparison,
-                            reliable_window, name)
-    return _torus_blocks(g_base, g_fiber, theta, cutoff, weights, monomial_cap,
-                         cliff, vertical_gap, group_diameter, comparison,
-                         reliable_window, name)
-
-
-def _torus_exponents_and_base_mask(cutoff, d, g_base, cap):
-    exps = _exponent_list(cutoff, d, cap)
-    base_mask = np.array([not p[g_base:].any() for p in exps])
-    return exps, base_mask
-
-
-def _torus_dense(g_base, g_fiber, theta, cutoff, weights, cap, cliff,
-                 vertical_gap, group_diameter, comparison, window, name):
-    d = g_base + g_fiber
-    spin = cliff.spin_dim
-    # Fiber-major mode order keeps each isotypic sector contiguous.
-    fiber_modes = _mode_box(cutoff, g_fiber)
-    base_modes = _mode_box(cutoff, g_base) if g_base else np.zeros((1, 0), np.int64)
-    modes = np.concatenate(
-        [np.tile(base_modes, (len(fiber_modes), 1)),
-         np.repeat(fiber_modes, len(base_modes), axis=0)], axis=1)
-    n_lattice = len(modes)
-    dim = n_lattice * spin
-
-    dirac_h = np.zeros((dim, dim), dtype=complex)
-    dirac_v = np.zeros((dim, dim), dtype=complex)
-    for j in range(d):
-        coeff = 2 * math.pi * weights[j] * modes[:, j]
-        term = np.kron(np.diag(coeff.astype(complex)), cliff.gammas[j])
-        if j < g_base:
-            dirac_h += term
-        else:
-            dirac_v += term
-
-    exps, base_mask = _torus_exponents_and_base_mask(cutoff, d, g_base, cap)
-    eye_spin = np.eye(spin, dtype=complex)
-    basis = []
-    for p in exps:
-        basis.append(np.kron(_twisted_shift_matrix(p, theta, modes, cutoff), eye_spin))
-
-    labels = np.repeat(modes[:, g_base:], spin, axis=0)
-    identity_coeffs = np.zeros(len(exps), dtype=complex)
-    identity_coeffs[0] = 1.0  # zero exponent sorts first
-
-    grading = None
-    chi = cliff.chirality()
-    if chi is not None:
-        grading = np.kron(np.eye(n_lattice, dtype=complex), chi)
-
-    total = SpectralTripleModel(
-        hilbert_dim=dim,
-        algebra_basis=tuple(basis),
-        dirac=dirac_h + dirac_v,
-        label=name,
-        grading=grading,
-        identity_coefficients=identity_coeffs,
-    )
-    base_cols = np.eye(len(exps), dtype=complex)[:, base_mask]
-    expectation = np.diag(base_mask.astype(complex))
-    dec = DecomposedTripleModel(
-        total=total,
-        d_h=dirac_h,
-        d_v=dirac_v,
-        base_coefficients=base_cols,
-        expectation_matrix=expectation,
-        sector_labels=labels,
-        group_dim=g_fiber,
-        group_diameter=group_diameter,
-        vertical_gap=vertical_gap,
-        comparison_constant=comparison,
-        reliable_window=window,
-    )
-    dec.self_check()
-    return dec
-
-
-def _torus_blocks(g_base, g_fiber, theta, cutoff, weights, cap, cliff,
-                  vertical_gap, group_diameter, comparison, window, name):
-    if g_base == 0:
-        raise PreconditionError("block materialization needs at least one base direction")
-    d = g_base + g_fiber
-    spin = cliff.spin_dim
+    # Fiber-major mode order keeps each isotypic sector contiguous: one
+    # block of base modes times spin per fiber mode.
     base_modes = _mode_box(cutoff, g_base)
     fiber_modes = _mode_box(cutoff, g_fiber)
     n_base_lat = len(base_modes)
     n_fiber = len(fiber_modes)
     bd = n_base_lat * spin
-    dim = n_fiber * bd
     index_blocks = np.arange(dim, dtype=np.int64).reshape(n_fiber, bd)
 
-    dirac_h_block = np.zeros((bd, bd), dtype=complex)
+    h_block = np.zeros((bd, bd), dtype=complex)
     for j in range(g_base):
         coeff = 2 * math.pi * weights[j] * base_modes[:, j]
-        dirac_h_block += np.kron(np.diag(coeff.astype(complex)), cliff.gammas[j])
-    dirac_h = BlockDiagonalOperator(dim, index_blocks, dirac_h_block[None, :, :])
+        h_block += np.kron(np.diag(coeff.astype(complex)), cliff.gammas[j])
+    dirac_h = BlockDiagonalOperator(dim, index_blocks, h_block[None, :, :])
 
     eye_base = np.eye(n_base_lat, dtype=complex)
     v_blocks = np.zeros((n_fiber, bd, bd), dtype=complex)
@@ -520,41 +453,53 @@ def _torus_blocks(g_base, g_fiber, theta, cutoff, weights, cap, cliff,
         s = np.zeros((spin, spin), dtype=complex)
         for l in range(g_fiber):
             s += 2 * math.pi * weights[g_base + l] * mf[l] * cliff.gammas[g_base + l]
-        v_blocks[f] = np.kron(eye_base, s)
+        v_blocks[f] += np.kron(eye_base, s)   # onto zeros: every zero is +0.0
     dirac_v = BlockDiagonalOperator(dim, index_blocks, v_blocks)
 
-    theta_bb = theta[:g_base, :g_base]
-    exps, _ = _torus_exponents_and_base_mask(cutoff, g_base, g_base, cap)
+    grading = None
+    if materialize == "dense":
+        dirac_h, dirac_v = _dense(dirac_h), _dense(dirac_v)
+        alg_modes = np.concatenate(
+            [np.tile(base_modes, (n_fiber, 1)),
+             np.repeat(fiber_modes, n_base_lat, axis=0)], axis=1)
+        alg_theta = theta
+        chi = cliff.chirality()
+        if chi is not None:
+            grading = np.kron(np.eye(len(alg_modes), dtype=complex), chi)
+    else:
+        alg_modes, alg_theta = base_modes, theta[:g_base, :g_base]
+
+    exps = _exponent_list(cutoff, alg_modes.shape[1], monomial_cap)
+    base_mask = np.array([not p[g_base:].any() for p in exps])
     eye_spin = np.eye(spin, dtype=complex)
     basis = []
     for p in exps:
-        blk = np.kron(_twisted_shift_matrix(p, theta_bb, base_modes, cutoff), eye_spin)
-        basis.append(BlockDiagonalOperator(dim, index_blocks, blk[None, :, :]))
-
-    labels = np.repeat(fiber_modes, bd, axis=0)
+        blk = np.kron(_twisted_shift_matrix(p, alg_theta, alg_modes, cutoff), eye_spin)
+        basis.append(blk if materialize == "dense" else
+                     BlockDiagonalOperator(dim, index_blocks, blk[None, :, :]))
     identity_coeffs = np.zeros(len(exps), dtype=complex)
-    identity_coeffs[0] = 1.0
+    identity_coeffs[0] = 1.0  # zero exponent sorts first
 
     total = SpectralTripleModel(
         hilbert_dim=dim,
         algebra_basis=tuple(basis),
         dirac=_sum(dirac_h, dirac_v),
-        label=name,
+        label=label or f"torus[{g_base}+{g_fiber},K={cutoff}]",
+        grading=grading,
         identity_coefficients=identity_coeffs,
     )
-    n = len(exps)
     dec = DecomposedTripleModel(
         total=total,
         d_h=dirac_h,
         d_v=dirac_v,
-        base_coefficients=np.eye(n, dtype=complex),
-        expectation_matrix=np.eye(n, dtype=complex),
-        sector_labels=labels,
+        base_coefficients=np.eye(len(exps), dtype=complex)[:, base_mask],
+        expectation_matrix=np.diag(base_mask.astype(complex)),
+        sector_labels=np.repeat(fiber_modes, bd, axis=0),
         group_dim=g_fiber,
-        group_diameter=group_diameter,
-        vertical_gap=vertical_gap,
-        comparison_constant=comparison,
-        reliable_window=window,
+        group_diameter=max(1.0 / (2 * w) for w in weights[g_base:]),
+        vertical_gap=2 * math.pi * min(weights[g_base:]),
+        comparison_constant=math.sqrt(g_fiber),
+        reliable_window=math.pi * cutoff * min(weights),
     )
     dec.self_check()
     return dec
@@ -685,13 +630,11 @@ def build_product_triple(even: SpectralTripleModel, vertical: np.ndarray,
     if np.max(np.abs(s - s.conj().T)) > 1e-12 * max(1.0, float(np.max(np.abs(s)))):
         raise PreconditionError("vertical operator must be self-adjoint")
     svals = np.linalg.eigvalsh(s)
-    scale = max(1.0, float(np.max(np.abs(svals))))
-    if float(np.max(np.abs(svals))) <= 1e-12:
+    kernel, gap, scale = _spectral_kernel(svals)
+    if kernel.all():
         raise PreconditionError("vertical gap undefined: S vanishes")
-    kernel = np.abs(svals) <= 1e-9 * scale
-    if not np.any(kernel):
+    if not kernel.any():
         raise PreconditionError("no kernel: 0 is not an eigenvalue of S")
-    gap = float(np.min(np.abs(svals[~kernel])))
 
     n2 = s.shape[0]
     # Work in the eigenbasis of S so sectors are coordinate index sets.
@@ -788,7 +731,6 @@ def build_crossed_product_model(base: SpectralTripleModel, d: int, cutoff: int,
         dirac_v += np.kron(np.diag(z_modes[:, j].astype(complex)),
                            np.kron(eye_b, cliff.gammas[j + 1]))
 
-    defect_norm = 0.0
     if vertical_defect != 0.0:
         if nb < 2:
             raise PreconditionError("vertical defect needs a base of dimension >= 2")
@@ -799,7 +741,6 @@ def build_crossed_product_model(base: SpectralTripleModel, d: int, cutoff: int,
         bx = np.zeros((nb, nb), dtype=complex)
         bx[0, 1] = bx[1, 0] = 1.0
         dirac_v += vertical_defect * np.kron(np.diag(shell), np.kron(bx, cliff.gammas[1]))
-        defect_norm = abs(vertical_defect)
 
     exps = _exponent_list(cutoff, d, 1)
     base_ops = [_dense(b) for b in base.algebra_basis]
@@ -833,13 +774,9 @@ def build_crossed_product_model(base: SpectralTripleModel, d: int, cutoff: int,
         grading=grading,
         identity_coefficients=identity_coeffs,
     )
-    if defect_norm:
-        spec_v = hermitian_spectrum(dirac_v)
-        vscale = max(1.0, float(np.max(np.abs(spec_v))))
-        nz = np.abs(spec_v) > 1e-9 * vscale
-        gap = min(1.0, float(np.min(np.abs(spec_v[nz]))))
-    else:
-        gap = 1.0
+    gap = 1.0
+    if vertical_defect != 0.0:
+        gap = min(gap, _spectral_kernel(hermitian_spectrum(dirac_v))[1])
     dec = DecomposedTripleModel(
         total=total,
         d_h=dirac_h,
@@ -878,13 +815,11 @@ def build_point_collapse(model: SpectralTripleModel, state,
     """
     dirac = _dense(model.dirac)
     vals, vecs = np.linalg.eigh(dirac)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if float(np.max(np.abs(vals))) <= 1e-12:
+    kernel, gap, scale = _spectral_kernel(vals)
+    if kernel.all():
         raise PreconditionError("vertical gap undefined: Dirac vanishes")
-    kernel = np.abs(vals) <= 1e-9 * scale
-    if not np.any(kernel):
+    if not kernel.any():
         raise PreconditionError("no kernel: Dirac is invertible")
-    gap = float(np.min(np.abs(vals[~kernel])))
 
     density = np.asarray(state.density, dtype=complex)
     if density.shape != (model.hilbert_dim,) * 2:
@@ -984,6 +919,8 @@ def build_graph_model(edges: Sequence[Tuple[int, int, complex]],
         raise PreconditionError("graph needs at least one edge")
     pairs = set()
     for i, j, w in edges:
+        if i < 0 or j < 0:
+            raise PreconditionError(f"negative vertex index on edge ({i},{j})")
         if i == j:
             raise PreconditionError(f"self-loop at vertex {i}")
         if w == 0:

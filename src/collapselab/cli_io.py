@@ -207,10 +207,14 @@ def _param(params: dict, name: str, required: bool = True, default=None):
 
 
 def _number(value, kind, name: str):
-    """kind(value) (int or float); a malformed number is a schema error."""
+    """kind(value) (int or float); a malformed number, a boolean, or a
+    fraction given for an int is a schema error, never truncated."""
     try:
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError(value)
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{name} must be {kind.__name__}, got {value!r}") from exc
 
 
@@ -324,6 +328,8 @@ def _build_from_spec(spec: ModelSpecFile):
         if inner_spec.builder not in BUILDER_NAMES:
             raise SchemaError(
                 f"unknown builder {inner_spec.builder!r} for point_collapse model")
+        if not isinstance(inner_spec.params, dict):
+            raise SchemaError("params must be an object")
         inner = _build_from_spec(inner_spec)
         if not isinstance(inner, SpectralTripleModel):
             raise SchemaError("point_collapse model must be a plain triple")
@@ -435,8 +441,7 @@ def cmd_build(args) -> int:
         info["vertical_gap"] = dec.vertical_gap
         info["group_diameter"] = dec.group_diameter
         info["reliable_window"] = dec.reliable_window
-        info["sector_count"] = int(
-            np.unique(np.asarray(dec.sector_labels), axis=0).shape[0])
+        info["sector_count"] = len(dec.sectors()[1])
     text = json.dumps(_jsonable(info), indent=2, sort_keys=True) + "\n"
     _emit(args.out, text)
     if args.out is not None:

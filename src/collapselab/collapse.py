@@ -166,15 +166,6 @@ def _directed_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.minimum(np.abs(a - right), np.abs(a - left))))
 
 
-def _sector_codes(dec) -> Tuple[np.ndarray, list]:
-    """Integer code per Hilbert index identifying its sector, and the
-    ascending sector labels that the codes index."""
-    labels = [tuple(l) for l in dec.sector_labels]
-    label_of_code = sorted(set(labels))
-    order = {lab: i for i, lab in enumerate(label_of_code)}
-    return np.array([order[lab] for lab in labels], dtype=np.int64), label_of_code
-
-
 def _max_off_sector_entry(op, codes: np.ndarray) -> float:
     v = _view(op)
     worst = 0.0
@@ -242,24 +233,23 @@ def sweep(dec, eps_grid: Sequence[float] = None, window: float = None) -> EpsSwe
     dim = dec.total.hilbert_dim
     n_eps = len(grid)
 
-    codes, label_of_code = _sector_codes(dec)
+    codes, label_of_code = dec.sectors()
     _check_sector_invariance(dec, codes)
-    sectors = None   # built only if some eps has blocks across sectors
+    # every D_eps lives on the partition of the pair (d_h, d_v): solve its
+    # blocks when each sits inside one sector, else solve sector by sector
+    block_codes = _blocks_match_sectors(_pair(dec.d_h, dec.d_v)[0], codes)
+    sectors = dec.sector_index_sets() if block_codes is None else None
 
     spectra = np.empty((n_eps, dim))
     sector_vals: Dict[tuple, list] = {}
     for i, eps in enumerate(grid):
         d_eps = dec.dirac_at(eps)
-        view = _view(d_eps)
-        block_codes = _blocks_match_sectors(view, codes)
         per_sector = {}
         if block_codes is not None:
-            vals = np.linalg.eigvalsh(view.full)
+            vals = np.linalg.eigvalsh(_view(d_eps).full)
             for b, c in enumerate(block_codes):
                 per_sector.setdefault(label_of_code[c], []).append(vals[b])
         else:
-            if sectors is None:
-                sectors = dec.sector_index_sets()
             for lab, ix in sectors.items():
                 sub = compress_to_indices(d_eps, ix)
                 per_sector[lab] = [np.linalg.eigvalsh(sub)]

@@ -1,6 +1,7 @@
 """Construction invariants and frozen spectra for the model builders."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from collapselab.builders import (
     build_two_point_model,
     make_clifford,
 )
+from collapselab.cli_io import load_model
 from collapselab.core import (
     HermitianOperator,
     PreconditionError,
@@ -156,6 +158,11 @@ def test_torus_block_path_rejects_base_fiber_coupling():
     th[0, 2], th[2, 0] = 0.2, -0.2   # couples base direction 0 to the fiber
     with pytest.raises(PreconditionError, match="coupling"):
         build_torus_triple(2, 1, th, 1, materialize="blocks")
+
+
+def test_torus_block_path_needs_a_base_direction():
+    with pytest.raises(PreconditionError, match="at least one base direction"):
+        build_torus_triple(0, 1, np.zeros((1, 1)), 1, materialize="blocks")
 
 
 def test_torus_rejects_bad_inputs():
@@ -420,4 +427,28 @@ def test_self_check_rejects_wrong_gap():
         comparison_constant=t.comparison_constant,
         reliable_window=t.reliable_window)
     with pytest.raises(PreconditionError, match="gap"):
+        bad.self_check()
+
+
+def test_self_check_rejects_base_not_commuting_with_d_v():
+    # the adversarial crossed product skips this check on build; its planted
+    # defect couples the base to the extreme momentum shell
+    path = Path(__file__).resolve().parent.parent / "models" / "crossed_adversarial.json"
+    dec = load_model(str(path)).decomposition
+    assert max(dec.vertical_defects()) > 0.1
+    with pytest.raises(PreconditionError, match="fails to commute"):
+        dec.self_check()
+
+
+def test_self_check_rejects_invertible_vertical_part():
+    d_v = np.diag([1.0, -1.0]).astype(complex)
+    total = SpectralTripleModel(hilbert_dim=2, algebra_basis=(np.eye(2, dtype=complex),),
+                                dirac=d_v)
+    bad = DecomposedTripleModel(
+        total=total, d_h=np.zeros((2, 2), dtype=complex), d_v=d_v,
+        base_coefficients=np.eye(1, dtype=complex),
+        expectation_matrix=np.eye(1, dtype=complex),
+        sector_labels=None, group_dim=1, group_diameter=math.pi,
+        vertical_gap=1.0, comparison_constant=1.0)
+    with pytest.raises(PreconditionError, match="d_v has no kernel"):
         bad.self_check()

@@ -333,23 +333,38 @@ def test_exit_code_contract(tmp_path):
     assert main(["build", "--model", str(missing)]) == EXIT_PARSE
 
 
+#: malformed model files, written per test as {tmp}/<name>.json
+MALFORMED_SPECS = {
+    "word_g_base": ("torus", {"g_base": "one", "g_fiber": 1,
+                              "theta": [[0.0, 0.0], [0.0, 0.0]], "cutoff": 1}),
+    "negative_endpoint": ("graph", {"edges": [[-1, 0, 1.0], [0, 1, 1.0]]}),
+    "inner_params_list": ("point_collapse", {
+        "model": {"builder": "graph", "params": ["edges"]}, "state": {"vertex": 0}}),
+    "fractional_k_min": ("circle_bundle", {
+        "base_eigenvalues": [1.0], "fiber_length_scale": 1.0, "k_min": -1.5, "k_max": 1}),
+    "boolean_weight": ("cycle_adjacency", {"n": 4, "weight": True}),
+}
+
+
 @pytest.mark.parametrize("argv, code", [
     (["spectrum", "--model", "{two_point}", "--eps", "abc"], EXIT_PARSE),
-    (["build", "--model", "{word_g_base}"], EXIT_PARSE),
+    (["build", "--model", "{tmp}/word_g_base.json"], EXIT_PARSE),
     (["distance", "--model", "{two_point}", "--states", "vertex:0,vertex:7"],
      EXIT_PRECONDITION),
     (["build", "--model", "{two_point}", "--out", "{tmp}/absent/x.json"], EXIT_PARSE),
     (["distance", "--model", "{two_point}", "--states", "density:{tmp}/absent.json,vertex:1"],
      EXIT_PARSE),
+    (["build", "--model", "{tmp}/negative_endpoint.json"], EXIT_PRECONDITION),
+    (["build", "--model", "{tmp}/inner_params_list.json"], EXIT_PARSE),
+    (["build", "--model", "{tmp}/fractional_k_min.json"], EXIT_PARSE),
+    (["build", "--model", "{tmp}/boolean_weight.json"], EXIT_PARSE),
 ], ids=["eps-not-a-number", "g_base-not-a-number", "vertex-out-of-range",
-        "out-dir-missing", "density-file-missing"])
+        "out-dir-missing", "density-file-missing", "negative-edge-endpoint",
+        "inner-params-not-an-object", "int-given-a-fraction", "float-given-a-boolean"])
 def test_malformed_input_exit_codes(argv, code, tmp_path, capsys):
-    word = tmp_path / "word.json"
-    word.write_text(ModelSpecFile(1, "torus", {
-        "g_base": "one", "g_fiber": 1, "theta": [[0.0, 0.0], [0.0, 0.0]],
-        "cutoff": 1}, 0).emit())
-    argv = [a.format(two_point=_fixture("two_point"), word_g_base=word, tmp=tmp_path)
-            for a in argv]
+    for name, (builder, params) in MALFORMED_SPECS.items():
+        (tmp_path / f"{name}.json").write_text(ModelSpecFile(1, builder, params, 0).emit())
+    argv = [a.format(two_point=_fixture("two_point"), tmp=tmp_path) for a in argv]
     try:
         rc = main(argv)
     except SystemExit as exc:     # argparse rejects a malformed flag value

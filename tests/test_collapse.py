@@ -299,6 +299,15 @@ def test_sweep_grid_validation():
         sweep(t, window=2 * t.reliable_window)
 
 
+def test_sweep_rejects_labels_that_split_a_coupled_pair():
+    # d_v couples the two indices of each momentum block; relabel one of them
+    cb = build_circle_bundle_blocks([1.0], 1.0, -1, 1).as_decomposition()
+    labels = cb.sector_labels.copy()
+    labels[-1, 0] = 5
+    with pytest.raises(PreconditionError, match="vertical Dirac part couples"):
+        sweep(dataclasses.replace(cb, sector_labels=labels))
+
+
 def test_sweep_without_labels_is_one_sector():
     dec = _manual_split(np.diag([1.0, 2.0, 0.0, 0.0]),
                         np.diag([0.0, 0.0, 2.0, 2.0]))

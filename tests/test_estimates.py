@@ -23,6 +23,7 @@ from collapselab.core import (
     PreconditionError,
     SpectralTripleModel,
     _raw,
+    commutator,
     op_norm,
 )
 from collapselab.estimates import (
@@ -352,3 +353,18 @@ def test_sample_self_adjoint_is_hermitian_and_seeded():
     assert op_norm(m - m.conj().T) <= 1e-12 * op_norm(m)
     b = sample_self_adjoint(t.total, np.random.default_rng(4))
     assert np.array_equal(a.coefficients, b.coefficients)
+
+
+def test_audit_samples_vertical_commutator_when_base_is_not_the_algebra():
+    # torus_g1f1: every base monomial commutes with d_v exactly, but the
+    # fiber monomials do not, so the audit must form [d_v, a] per sample
+    t = build_torus_triple(1, 1, np.zeros((2, 2)), 3)
+    assert all(c == 0.0 for c in t.vertical_defects())
+    rep = hypothesis_audit(t, eps_list=(1.0,), samples=1, seed=5)
+    rng = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
+    a = sample_self_adjoint(t.total, rng)
+    ch, cv = commutator(t.d_h, a.matrix), commutator(t.d_v, a.matrix)
+    v_norm = op_norm(cv)
+    assert v_norm > 1.0
+    expected = v_norm - t.comparison_constant * op_norm(ch + cv)
+    assert rep.verdicts[1].worst_margin == pytest.approx(expected, abs=1e-9)
