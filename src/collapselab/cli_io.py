@@ -191,11 +191,16 @@ def parse_model_spec(text: str) -> ModelSpecFile:
         raise SchemaError(f"unknown builder {doc['builder']!r}")
     if not isinstance(doc["params"], dict):
         raise SchemaError("params must be an object")
-    if not isinstance(doc["seed"], int) or isinstance(doc["seed"], bool):
-        raise SchemaError("seed must be an integer")
     return ModelSpecFile(schema_version=int(doc["schema_version"]),
                          builder=doc["builder"], params=doc["params"],
-                         seed=doc["seed"])
+                         seed=_seed(doc["seed"], "seed"))
+
+
+def _seed(value, name: str) -> int:
+    """A run seed: numpy's seeding accepts only non-negative integers."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise SchemaError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def _param(params: dict, name: str, required: bool = True, default=None):
@@ -682,6 +687,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None:
+            _seed(args.seed, "--seed")
         return args.handler(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

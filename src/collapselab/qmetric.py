@@ -18,8 +18,10 @@ from scipy.optimize import linprog, minimize
 from .core import (
     DENSE_LIMIT,
     AlgebraElement,
+    _NORMAL_DETECT_RTOL,
     PreconditionError,
     SpectralTripleModel,
+    _adjoint_blocks,
     _dense,
     hermitian_coefficient_basis,
     lip_seminorm,
@@ -127,25 +129,23 @@ def _realify(mat: np.ndarray) -> np.ndarray:
 
 class _HermitianSpan:
     """Realized self-adjoint directions of the algebra span, with their
-    Dirac commutators precomputed; shared ground for solver and oracle."""
+    Dirac commutators precomputed; shared ground for solver and oracle.
+    ``stack[0, k]`` is element k and ``stack[1, k]`` its commutator;
+    ``elements`` and ``commutators`` are the two halves."""
 
     def __init__(self, model: SpectralTripleModel):
         self.model = model
         self.coeff_basis = hermitian_coefficient_basis(model)
         self.n_params = self.coeff_basis.shape[1]
         dirac = _dense(model.dirac)
-        self.elements = []
-        self.commutators = []
-        for k in range(self.n_params):
-            mat = _dense(model.element(self.coeff_basis[:, k]).matrix)
-            self.elements.append(mat)
-            self.commutators.append(dirac @ mat - mat @ dirac)
-
-    def realize(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(self.elements[0])
-        for xi, m in zip(x, self.elements):
-            out += xi * m
-        return out
+        elements = [_dense(model.element(self.coeff_basis[:, k]).matrix)
+                    for k in range(self.n_params)]
+        self.stack = np.stack([elements, [dirac @ m - m @ dirac for m in elements]])
+        self.elements, self.commutators = self.stack
+        # when every [D, b_k] is anti-Hermitian to the last bit, so is every
+        # real combination summed entrywise, and op_norm's detector passes it
+        self.exactly_anti = not np.any(self.commutators
+                                       + _adjoint_blocks(self.commutators))
 
     def commutator_of(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(self.commutators[0])
@@ -295,7 +295,7 @@ def _ascent_distance(model, phi, psi, iterations, seed):
     if np.linalg.norm(g) <= 1e-14:
         return DistanceResult(0.0, zero, "ascent-lower-bound", True, 0)
 
-    comm_stack = np.stack(span.commutators)
+    comm_stack = span.commutators
     scale_ref = max(op_norm(c) for c in span.commutators)
 
     def ratio_and_grad(x):
@@ -363,9 +363,83 @@ class OracleResult:
     evaluations: int
 
 
+#: bytes of n x n work matrices one oracle chunk may hold: per candidate,
+#: two terms per span direction plus about eight working copies.  1 MiB
+#: batches a few hundred candidates of a small model, enough to amortize
+#: numpy's per-call cost, and keeps a c4 load's peak memory at the
+#: one-candidate evaluator's
+_ORACLE_CHUNK_BYTES = 1 << 20
+
+
+def _commutator_norms(stack: np.ndarray, exactly_anti: bool) -> np.ndarray:
+    """op_norm of each matrix of a stack, computed as op_norm computes it:
+    0 for an all-zero matrix, one stacked eigvalsh(1j K) over the matrices
+    op_norm's detector calls anti-Hermitian, op_norm itself for the rest.
+    A nonzero matrix cannot pass both of the detector's tests, so its
+    anti-Hermitian test alone picks the eigvalsh path; a stack known to be
+    exactly anti-Hermitian passes that test whatever its scale."""
+    live = stack.any(axis=(1, 2))
+    solve = live
+    if not exactly_anti:
+        scale = np.maximum.reduce(np.abs(stack), axis=(1, 2))
+        defect = np.maximum.reduce(np.abs(stack + _adjoint_blocks(stack)), axis=(1, 2))
+        solve = live & (defect <= _NORMAL_DETECT_RTOL * scale)
+    if solve.all():
+        return np.maximum.reduce(np.abs(np.linalg.eigvalsh(1j * stack)), axis=1)
+    norms = np.zeros(len(stack))
+    if solve.any():
+        ev = np.linalg.eigvalsh(1j * stack[solve])
+        norms[solve] = np.maximum.reduce(np.abs(ev), axis=1)
+    for i in np.flatnonzero(live & ~solve):
+        norms[i] = op_norm(stack[i])
+    return norms
+
+
+def _ratio_chunk(span: _HermitianSpan, directions: np.ndarray,
+                 delta: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    xs = np.array([directions @ y for y in ys])
+    # np.linalg.norm of a real vector is sqrt(x.dot(x)), rounded the same
+    x_norms = np.array([math.sqrt(x.dot(x)) for x in xs])
+    # a = sum x_k b_k and [D, a] = sum x_k [D, b_k] side by side, summed from
+    # zero in ascending k, so every entry rounds as commutator_of's does
+    terms = xs[:, None, :, None, None] * span.stack
+    acc = np.zeros(terms.shape[:2] + terms.shape[3:], dtype=complex)
+    for k in range(span.n_params):
+        acc += terms[:, :, k]
+    num = (delta @ acc[:, 0]).trace(axis1=1, axis2=2).real
+    den = _commutator_norms(acc[:, 1], span.exactly_anti)
+    degenerate = den <= 1e-14 * np.maximum(1.0, x_norms)
+    out = np.divide(num, den, out=np.zeros_like(num), where=~degenerate)
+    out[degenerate & (num > 1e-12)] = math.inf
+    return out
+
+
+def _ratios(span: _HermitianSpan, directions: np.ndarray, delta: np.ndarray,
+            ys: np.ndarray) -> np.ndarray:
+    """objective / seminorm of each parameter row y, at x = directions @ y;
+    +inf where the seminorm vanishes under a positive objective, 0 where
+    both do.  Rows go through in chunks of bounded memory."""
+    n_params, n = span.n_params, span.stack.shape[-1]
+    rows = max(1, _ORACLE_CHUNK_BYTES // ((2 * n_params + 8) * 16 * n * n))
+    return np.concatenate([_ratio_chunk(span, directions, delta, ys[i:i + rows])
+                           for i in range(0, len(ys), rows)])
+
+
+def _scan_directions(n_red: int, resolution: int, seed: int) -> np.ndarray:
+    """The oracle's scan, one unit parameter row each: 4 * resolution
+    equally spaced angles when n_red is 2, else resolution**2 seeded
+    Gaussian draws."""
+    rng = np.random.default_rng(seed)
+    if n_red == 2:
+        angles = np.linspace(0.0, 2.0 * math.pi, 4 * resolution, endpoint=False)
+        return np.array([[math.cos(a), math.sin(a)] for a in angles])
+    draws = rng.standard_normal((resolution * resolution, n_red))
+    return np.array([d / np.linalg.norm(d) for d in draws])
+
+
 def distance_bruteforce_oracle(model: SpectralTripleModel, phi: StateFunctional,
                                psi: StateFunctional, resolution: int = 48,
-                               seed: int = 7) -> OracleResult:
+                               seed: int = 7, _basis=None) -> OracleResult:
     """Independent low-dimensional check of the state distance.
 
     Scans directions of the gauge-reduced self-adjoint span (identity
@@ -373,14 +447,18 @@ def distance_bruteforce_oracle(model: SpectralTripleModel, phi: StateFunctional,
     ratio objective/seminorm from first principles, then polishes the best
     candidates with a derivative-free local search.  The reported accuracy
     is the scatter of the polished top candidates plus solver tolerance.
+    ``_basis`` is a (span, reduced directions) pair already built for this
+    model, for callers that run many oracles on one model.
     """
     check_dense_limit(model)
     if phi.dim != model.hilbert_dim or psi.dim != model.hilbert_dim:
         raise PreconditionError("state dimension does not match the model")
     if resolution < 1:
         raise PreconditionError("resolution must be positive")
-    span = _HermitianSpan(model)
-    directions = span.reduced_directions()
+    if _basis is None:
+        span = _HermitianSpan(model)
+        _basis = span, span.reduced_directions()
+    span, directions = _basis
     n_red = directions.shape[1]
     if n_red > ORACLE_MAX_PARAMS:
         raise PreconditionError(
@@ -392,32 +470,22 @@ def distance_bruteforce_oracle(model: SpectralTripleModel, phi: StateFunctional,
 
     count = 0
 
-    def ratio(y: np.ndarray) -> float:
+    def ratios(ys: np.ndarray) -> list:
         nonlocal count
-        count += 1
-        x = directions @ y
-        a = span.realize(x)
-        num = float(np.trace(delta @ a).real)
-        den = op_norm(span.commutator_of(x))
-        if den <= 1e-14 * max(1.0, float(np.linalg.norm(x))):
-            return math.inf if num > 1e-12 else 0.0
-        return num / den
+        count += len(ys)
+        return _ratios(span, directions, delta, ys).tolist()
 
     if n_red == 1:
-        v = max(ratio(np.array([1.0])), ratio(np.array([-1.0])))
+        v = max(ratios(np.array([[1.0], [-1.0]])))
         return OracleResult(v, 1e-12 if math.isfinite(v) else 0.0, count)
 
-    rng = np.random.default_rng(seed)
-    if n_red == 2:
-        angles = np.linspace(0.0, 2.0 * math.pi, 4 * resolution, endpoint=False)
-        cands = [np.array([math.cos(a), math.sin(a)]) for a in angles]
-    else:
-        draws = rng.standard_normal((resolution * resolution, n_red))
-        cands = [d / np.linalg.norm(d) for d in draws]
-    scored = sorted(cands, key=ratio, reverse=True)[:3]
+    cands = _scan_directions(n_red, resolution, seed)
+    scores = ratios(cands)
+    # Python's sort is stable under reverse=True: ties keep scan order
+    top = sorted(range(len(cands)), key=scores.__getitem__, reverse=True)[:3]
     polished = []
-    for y0 in scored:
-        res = minimize(lambda y: -ratio(y), y0, method="Nelder-Mead",
+    for y0 in cands[top]:
+        res = minimize(lambda y: -ratios(y[None])[0], y0, method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
         polished.append(-res.fun)
     value = max(polished)
@@ -464,7 +532,8 @@ def quantum_diameter(model: SpectralTripleModel, samples: int = 12,
     span = _HermitianSpan(model)
     if span.n_params and _seminorm_nullity(span) > 1:
         return DiameterReport(math.inf, None, "degenerate", True)
-    if span.reduced_directions().shape[1] == 0:
+    directions = span.reduced_directions()
+    if directions.shape[1] == 0:
         return DiameterReport(0.0, None, "trivial", False)
 
     structure = model.structure
@@ -477,7 +546,7 @@ def quantum_diameter(model: SpectralTripleModel, samples: int = 12,
             i, j = np.unravel_index(np.argmax(lengths), lengths.shape)
             return DiameterReport(float(lengths[i, j]), (int(i), int(j)),
                                   "vertex-enumeration", False)
-        use_oracle = span.reduced_directions().shape[1] <= ORACLE_MAX_PARAMS
+        use_oracle = directions.shape[1] <= ORACLE_MAX_PARAMS
         best, pair = 0.0, (0, 0)
         for i in range(n):
             for j in range(i + 1, n):
@@ -485,7 +554,8 @@ def quantum_diameter(model: SpectralTripleModel, samples: int = 12,
                 sj = vertex_state(model, j)
                 if use_oracle:
                     d = distance_bruteforce_oracle(
-                        model, si, sj, resolution=resolution).value
+                        model, si, sj, resolution=resolution,
+                        _basis=(span, directions)).value
                 else:
                     d = connes_distance(model, si, sj,
                                         iterations=iterations).value

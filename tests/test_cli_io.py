@@ -343,6 +343,7 @@ MALFORMED_SPECS = {
     "fractional_k_min": ("circle_bundle", {
         "base_eigenvalues": [1.0], "fiber_length_scale": 1.0, "k_min": -1.5, "k_max": 1}),
     "boolean_weight": ("cycle_adjacency", {"n": 4, "weight": True}),
+    "negative_seed": ("graph", {"edges": [[0, 1, 2.0]]}, -5),
 }
 
 
@@ -358,13 +359,21 @@ MALFORMED_SPECS = {
     (["build", "--model", "{tmp}/inner_params_list.json"], EXIT_PARSE),
     (["build", "--model", "{tmp}/fractional_k_min.json"], EXIT_PARSE),
     (["build", "--model", "{tmp}/boolean_weight.json"], EXIT_PARSE),
+    (["build", "--model", "{tmp}/negative_seed.json"], EXIT_PARSE),
+    (["audit", "--model", "{circle_bundle}", "--seed", "-5"], EXIT_PARSE),
+    (["distance", "--model", "{path3}", "--states", "vertex:0,vertex:2", "--oracle",
+      "--seed", "-5"], EXIT_PARSE),
 ], ids=["eps-not-a-number", "g_base-not-a-number", "vertex-out-of-range",
         "out-dir-missing", "density-file-missing", "negative-edge-endpoint",
-        "inner-params-not-an-object", "int-given-a-fraction", "float-given-a-boolean"])
+        "inner-params-not-an-object", "int-given-a-fraction", "float-given-a-boolean",
+        "negative-seed-in-file", "negative-seed-flag-audit",
+        "negative-seed-flag-oracle"])
 def test_malformed_input_exit_codes(argv, code, tmp_path, capsys):
-    for name, (builder, params) in MALFORMED_SPECS.items():
-        (tmp_path / f"{name}.json").write_text(ModelSpecFile(1, builder, params, 0).emit())
-    argv = [a.format(two_point=_fixture("two_point"), tmp=tmp_path) for a in argv]
+    for name, (builder, params, *seed) in MALFORMED_SPECS.items():
+        spec = ModelSpecFile(1, builder, params, seed[0] if seed else 0)
+        (tmp_path / f"{name}.json").write_text(spec.emit())
+    argv = [a.format(two_point=_fixture("two_point"), circle_bundle=_fixture("circle_bundle"),
+                     path3=_fixture("path3"), tmp=tmp_path) for a in argv]
     try:
         rc = main(argv)
     except SystemExit as exc:     # argparse rejects a malformed flag value

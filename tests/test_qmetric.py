@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collapselab import qmetric
 from collapselab.core import (
     HermitianOperator,
     PreconditionError,
     SpectralTripleModel,
     lip_seminorm,
+    op_norm,
 )
 from collapselab.builders import (
     build_crossed_product_model,
@@ -306,6 +308,80 @@ def test_oracle_input_validation():
         distance_bruteforce_oracle(m, pure_state(4, 0), pure_state(4, 1))
 
 
+def _loop_ratio(span, directions, delta, y):
+    """The oracle's objective for one parameter row, one span direction at a
+    time and through op_norm: the reference its stacked evaluator matches."""
+    x = directions @ y
+    a = np.zeros_like(span.elements[0])
+    comm = np.zeros_like(span.commutators[0])
+    for xk, b, c in zip(x, span.elements, span.commutators):
+        a += xk * b
+        comm += xk * c
+    num = float(np.trace(delta @ a).real)
+    den = op_norm(comm)
+    if den <= 1e-14 * max(1.0, float(np.linalg.norm(x))):
+        return math.inf if num > 1e-12 else 0.0
+    return num / den
+
+
+def _scan_case(name):
+    """(span, reduced directions, phi - psi, scan rows plus a zero row)."""
+    if name == "cycle4":
+        model = build_cycle_adjacency_model(4, 1.0)
+        phi, psi = vertex_state(model, 1), vertex_state(model, 2)
+    elif name == "path3":
+        model = build_path_graph_model([1.0, 2.0])
+        phi, psi = vertex_state(model, 0), vertex_state(model, 2)
+    elif name == "degenerate":
+        model = SpectralTripleModel(2, (EYE2, SZ), HermitianOperator(2, SZ), "deg")
+        phi, psi = pure_state(2, 0), pure_state(2, 1)
+    else:       # commutators not anti-Hermitian to the last bit
+        model = build_crossed_product_model(_spin_model(), 1, 2).total
+        rng = np.random.default_rng(2)
+        phi = random_pure_state(model.hilbert_dim, rng)
+        psi = random_pure_state(model.hilbert_dim, rng)
+    span = qmetric._HermitianSpan(model)
+    directions = span.reduced_directions()
+    rows = qmetric._scan_directions(directions.shape[1], 32, 7)
+    rows = np.vstack([rows, np.zeros(directions.shape[1])])
+    return span, directions, phi.density - psi.density, rows
+
+
+@pytest.mark.parametrize("name", ["cycle4", "path3", "degenerate", "crossed"])
+def test_oracle_scan_scores_match_one_row_evaluation(name):
+    span, directions, delta, rows = _scan_case(name)
+    scores = qmetric._ratios(span, directions, delta, rows).tolist()
+    one_row = [qmetric._ratios(span, directions, delta, y[None])[0] for y in rows]
+    assert scores == one_row
+    assert one_row == [_loop_ratio(span, directions, delta, y) for y in rows]
+
+
+def test_oracle_scores_do_not_depend_on_chunking(monkeypatch):
+    span, directions, delta, rows = _scan_case("cycle4")
+    monkeypatch.setattr(qmetric, "_ORACLE_CHUNK_BYTES", 1 << 30)   # one stack
+    whole = qmetric._ratios(span, directions, delta, rows)
+    halves = [qmetric._ratios(span, directions, delta, part)
+              for part in (rows[:600], rows[600:])]
+    assert np.array_equal(np.concatenate(halves), whole)
+    monkeypatch.setattr(qmetric, "_ORACLE_CHUNK_BYTES", 1)   # one row per chunk
+    assert np.array_equal(qmetric._ratios(span, directions, delta, rows), whole)
+
+
+def test_stacked_commutator_norms_follow_op_norm():
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+    adjoint = np.conj(np.swapaxes(g, 1, 2))
+    anti = g - adjoint
+    # anti-Hermitian, Hermitian, general, zero, and just inside and outside
+    # op_norm's anti-Hermitian detector
+    stack = np.concatenate([anti, g + adjoint, g, np.zeros((2, 6, 6)),
+                            anti + 1e-15 * g, anti + 1e-10 * g])
+    assert np.array_equal(qmetric._commutator_norms(stack, False),
+                          [op_norm(k) for k in stack])
+    assert np.array_equal(qmetric._commutator_norms(anti, True),
+                          [op_norm(k) for k in anti])
+
+
 # --------------------------------------------------------------- diameters
 
 def test_cycle_diameters_halve_the_length():
@@ -323,6 +399,29 @@ def test_adjacency_diameter():
     rep = quantum_diameter(build_cycle_adjacency_model(4, 1.0))
     assert rep.method == "vertex-oracle"
     assert rep.value == pytest.approx(1.0, abs=1e-8)
+
+
+def test_adjacency_diameter_shares_one_span_across_its_oracles(monkeypatch):
+    evaluations, spans = [], []
+    oracle = qmetric.distance_bruteforce_oracle
+
+    def recording_oracle(*args, **kwargs):
+        res = oracle(*args, **kwargs)
+        evaluations.append(res.evaluations)
+        return res
+
+    class CountingSpan(qmetric._HermitianSpan):
+        def __init__(self, model):
+            spans.append(model)
+            super().__init__(model)
+
+    monkeypatch.setattr(qmetric, "distance_bruteforce_oracle", recording_oracle)
+    monkeypatch.setattr(qmetric, "_HermitianSpan", CountingSpan)
+    rep = quantum_diameter(build_cycle_adjacency_model(4, 1.0))
+    # pairs (0,1), (0,2), (0,3), (1,2), (1,3), (2,3) at resolution 32
+    assert evaluations == [1930, 1556, 2001, 1954, 1605, 1952]
+    assert rep.value == 1.0000000000000007
+    assert len(spans) == 1
 
 
 def test_sampled_diameter_is_a_lower_bound():

@@ -11,6 +11,8 @@ leaves behind into OUTDIR/<model>/:
     report --samples 20 report.json
     distance           distance.csv          (vertex:0,vertex:1 on graph models,
                                               pure:0,pure:1 on the rest)
+    distance --oracle  distance_oracle.csv   (the same states; models whose span
+                                              is too large for the oracle exit 3)
 
 plus ``<command>.stdout``, ``<command>.stderr`` and ``<command>.exit`` for
 each run.  A run that fails (the torus4 distances exit 3) still records its
@@ -52,6 +54,8 @@ def commands(model: Path, outdir: Path) -> list:
                     "--out", str(outdir / "report.json")]),
         ("distance", ["distance", "--states", states,
                       "--out", str(outdir / "distance.csv")]),
+        ("distance_oracle", ["distance", "--oracle", "--states", states,
+                             "--out", str(outdir / "distance_oracle.csv")]),
     ]
 
 
