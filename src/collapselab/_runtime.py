@@ -9,6 +9,8 @@ def worker_count() -> int:
 
     A thread pool over samples measured slower than the serial loop on a
     2-core box, so it was removed.  The function stays because benchmark
-    machine records report it.
+    machine records report it.  The library does use threads elsewhere:
+    large block stacks are split across cores inside ``core`` (see its
+    module docstring), which this count does not describe.
     """
     return 1

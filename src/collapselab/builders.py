@@ -294,7 +294,7 @@ class DecomposedTripleModel:
 
     def dirac_at(self, eps: float):
         """The collapse family member d_h + d_v / eps as a raw operator."""
-        if eps <= 0:
+        if not eps > 0:
             raise PreconditionError("eps must be positive")
         return _sum(self.d_h, self.d_v, eps)
 

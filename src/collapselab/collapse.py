@@ -21,6 +21,7 @@ from .core import (
     _like,
     _max_abs,
     _pair,
+    _per_block,
     _view,
     compress_to_indices,
     hermitian_spectrum,
@@ -145,7 +146,7 @@ def hausdorff_window(s1, s2, lam: float) -> float:
     Both windows empty gives 0; exactly one empty gives math.inf (the
     windows disagree about existence, not location).
     """
-    if lam <= 0:
+    if not lam > 0:
         raise PreconditionError("window must be positive")
     a = np.sort(np.asarray(s1, dtype=float).ravel())
     b = np.sort(np.asarray(s2, dtype=float).ravel())
@@ -212,7 +213,7 @@ def sweep(dec, eps_grid: Sequence[float] = None, window: float = None) -> EpsSwe
     grid = DEFAULT_EPS_GRID if eps_grid is None else tuple(float(e) for e in eps_grid)
     if not grid:
         raise PreconditionError("eps grid is empty")
-    if any(e <= 0 for e in grid):
+    if not all(e > 0 for e in grid):
         raise PreconditionError("eps values must be positive")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise PreconditionError("eps grid must be strictly descending")
@@ -221,7 +222,7 @@ def sweep(dec, eps_grid: Sequence[float] = None, window: float = None) -> EpsSwe
         window = dec.reliable_window
         if not math.isfinite(window):
             window = float(op_norm(dec.total.dirac))
-    if window <= 0:
+    if not window > 0:
         raise PreconditionError("window must be positive")
     if window > dec.reliable_window:
         raise WindowError(
@@ -246,7 +247,7 @@ def sweep(dec, eps_grid: Sequence[float] = None, window: float = None) -> EpsSwe
         d_eps = dec.dirac_at(eps)
         per_sector = {}
         if block_codes is not None:
-            vals = np.linalg.eigvalsh(_view(d_eps).full)
+            vals = _per_block(np.linalg.eigvalsh, _view(d_eps).full)
             for b, c in enumerate(block_codes):
                 per_sector.setdefault(label_of_code[c], []).append(vals[b])
         else:
@@ -299,7 +300,7 @@ def unitary_restriction_check(dec, eps: float, t: float) -> float:
     blocks that meet the kernel vanish on both sides, so the norm is taken
     over the rows of those blocks only, and D_eps is formed on them alone.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise PreconditionError("eps must be positive")
     kernel_ix = dec.kernel_indices()
     k = len(kernel_ix)

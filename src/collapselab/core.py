@@ -7,9 +7,18 @@ Every primitive is written once, over block stacks; a dense matrix is the
 one-block case.  Results keep the operand's form: dense in gives an ndarray
 out, block in gives a BlockDiagonalOperator out.
 Everything here is pure and safe to call from multiple threads.
+
+Block stacks whose work (blocks times block size cubed) reaches
+``_SPLIT_WORK`` have their eigensolves, SVDs and commutator products split
+into contiguous slices, one per core the process may run on, on a shared
+thread pool.  Each block still gets the same LAPACK or BLAS call, so the
+results are bit-identical to one core.  Dense matrices and smaller stacks
+never reach the pool.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence, Union
 
@@ -237,6 +246,56 @@ def _sum(a: OperatorLike, b: OperatorLike, eps: float = 1.0):
     return _like(va, out)
 
 
+#: Work (blocks x block size cubed) from which a block stack is split across
+#: cores: about four 196 x 196 blocks.
+_SPLIT_WORK = 4 * 196 ** 3
+#: Cores this process may run on: one slice of a split stack each.
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _reset_pool() -> None:
+    """In a forked child the parent's pool threads are gone: build anew."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_pool)
+
+
+def _slices(n: int, bd: int):
+    """Contiguous slices of a stack of n blocks of size bd, one per core, or
+    None when the stack is too small to be worth splitting."""
+    if n < 2 or _CORES < 2 or n * bd ** 3 < _SPLIT_WORK:
+        return None
+    k = min(_CORES, n)
+    edges = [n * i // k for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _on_cores(task, parts) -> list:
+    """task(s) for every slice s, run on the pool (built on first use)."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = ThreadPoolExecutor(_CORES, thread_name_prefix="collapselab")
+        pool = _POOL
+    return list(pool.map(task, parts))
+
+
+def _per_block(fn, stack: np.ndarray, **kwargs) -> np.ndarray:
+    """``fn(stack, **kwargs)`` for a stacked numpy call that returns one row
+    per block, split across cores when the stack is large.  Every block gets
+    the same call either way, so the result is bit-identical."""
+    parts = _slices(stack.shape[0], stack.shape[-1])
+    if parts is None:
+        return fn(stack, **kwargs)
+    return np.concatenate(_on_cores(lambda s: fn(stack[s], **kwargs), parts))
+
+
 def _apply(op: OperatorLike, xi: np.ndarray) -> np.ndarray:
     v = _view(op)
     xi = np.asarray(xi, dtype=complex)
@@ -254,7 +313,23 @@ def commutator(a: OperatorLike, b: OperatorLike):
     """[a, b] = ab - ba.  Both operands must share a dimension; operands over
     different partitions (or dense against block) give a dense result."""
     va, vb = _pair(a, b)
-    blk = va.blocks @ vb.blocks - vb.blocks @ va.blocks
+    x, y = va.blocks, vb.blocks
+    n = max(x.shape[0], y.shape[0])
+    parts = _slices(n, x.shape[-1])
+    if parts is None:
+        blk = x @ y - y @ x
+    else:
+        # each slice writes its own rows of two caller-owned buffers
+        shape = (n,) + x.shape[1:]
+        x, y = np.broadcast_to(x, shape), np.broadcast_to(y, shape)
+        blk, tmp = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+
+        def part(s):
+            np.matmul(x[s], y[s], out=blk[s])
+            np.matmul(y[s], x[s], out=tmp[s])
+            np.subtract(blk[s], tmp[s], out=blk[s])
+
+        _on_cores(part, parts)
     if blk.shape[0] > 1 and not np.any(blk):
         # exact cancellation; collapse to one repeated zero block
         blk = blk[:1]
@@ -287,9 +362,9 @@ def op_norm(a: OperatorLike) -> float:
         return 0.0
     sign = _normal_sign(blk)
     if sign:
-        ev = np.linalg.eigvalsh(blk if sign > 0 else 1j * blk)
+        ev = _per_block(np.linalg.eigvalsh, blk if sign > 0 else 1j * blk)
         return float(np.max(np.abs(ev)))
-    return float(np.max(np.linalg.svd(blk, compute_uv=False)))
+    return float(np.max(_per_block(np.linalg.svd, blk, compute_uv=False)))
 
 
 def hermitian_spectrum(h: OperatorLike) -> np.ndarray:
@@ -301,7 +376,7 @@ def hermitian_spectrum(h: OperatorLike) -> np.ndarray:
     v = _view(h)
     if not is_hermitian(v.blocks):
         raise PreconditionError("matrix is not Hermitian within tolerance")
-    vals = np.linalg.eigvalsh(v.full)
+    vals = _per_block(np.linalg.eigvalsh, v.full)
     if not np.all(np.isfinite(vals)):
         raise PreconditionError("eigensolver produced non-finite values")
     # one block comes back ascending from eigvalsh; re-sorting could swap +-0.0

@@ -367,7 +367,7 @@ def hypothesis_audit(dec, eps_list: Sequence[float] = (1.0, 0.5, 0.25),
     if samples < 1:
         raise PreconditionError("sample count must be >= 1")
     eps_list = tuple(float(e) for e in eps_list)
-    if any(e <= 0 for e in eps_list):
+    if not all(e > 0 for e in eps_list):
         raise PreconditionError("eps values must be positive")
 
     herm_basis = hermitian_coefficient_basis(dec.total)

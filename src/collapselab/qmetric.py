@@ -267,6 +267,8 @@ def connes_distance(model: SpectralTripleModel, phi: StateFunctional,
     the certificate always satisfies the constraint, so the value is safe
     even when the ascent has not found the optimum.
     """
+    if iterations < 1:
+        raise PreconditionError("iteration count must be >= 1")
     check_dense_limit(model)
     if phi.dim != model.hilbert_dim or psi.dim != model.hilbert_dim:
         raise PreconditionError("state dimension does not match the model")

@@ -1,10 +1,12 @@
 """Shared test plumbing: the acceptance-criteria recorder and its
-one-line-per-criterion terminal summary."""
+one-line-per-criterion terminal summary, and a fresh block-splitting pool."""
 from __future__ import annotations
 
 from contextlib import contextmanager
 
 import pytest
+
+import collapselab.core as core
 
 _RESULTS: dict = {}
 
@@ -24,6 +26,16 @@ def criterion():
         _RESULTS[number] = (description, True)
 
     return record
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """core's block-splitting thread pool, not yet built, for one test; a
+    pool the test builds is shut down after it."""
+    monkeypatch.setattr(core, "_POOL", None)
+    yield
+    if core._POOL is not None:
+        core._POOL.shutdown()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

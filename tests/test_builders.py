@@ -400,6 +400,8 @@ def test_dirac_at_rescales_vertical_only():
     assert np.allclose(np.asarray(d_half), expected, atol=1e-14)
     with pytest.raises(PreconditionError):
         t.dirac_at(0.0)
+    with pytest.raises(PreconditionError, match="eps must be positive"):
+        t.dirac_at(math.nan)
 
 
 def test_conditional_expectation_is_idempotent_contraction():

@@ -382,6 +382,25 @@ def test_malformed_input_exit_codes(argv, code, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--model", "{circle_bundle}", "--window", "nan"], "window must be positive"),
+    (["sweep", "--model", "{circle_bundle}", "--eps-grid", "nan"],
+     "eps values must be positive"),
+    (["spectrum", "--model", "{circle_bundle}", "--eps", "nan"], "eps must be positive"),
+    (["distance", "--model", "{crossed_d1}", "--states", "pure:0,pure:3",
+      "--iterations", "0"], "iteration count must be >= 1"),
+    (["distance", "--model", "{crossed_d1}", "--states", "pure:0,pure:3",
+      "--iterations", "-5"], "iteration count must be >= 1"),
+], ids=["nan-window", "nan-eps-grid", "nan-eps", "zero-iterations", "negative-iterations"])
+def test_precondition_messages(argv, message, capsys):
+    argv = [a.format(circle_bundle=_fixture("circle_bundle"),
+                     crossed_d1=_fixture("crossed_d1")) for a in argv]
+    assert main(argv) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_report_exit_code_on_failed_audit(tmp_path):
     out = tmp_path / "bundle.json"
     rc = main(["report", "--model", _fixture("crossed_adversarial"),

@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import multiprocessing
+import queue
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import collapselab.core as core
 from collapselab.builders import (
     DecomposedTripleModel,
     build_circle_bundle_blocks,
@@ -204,6 +207,8 @@ def test_hausdorff_window_oracles():
     assert hausdorff_window([0.0, 0.9], [0.0], 1.0) == pytest.approx(0.9)
     with pytest.raises(PreconditionError):
         hausdorff_window([0.0], [0.0], 0.0)
+    with pytest.raises(PreconditionError, match="window must be positive"):
+        hausdorff_window([0.0], [0.0], math.nan)
 
 
 def test_hausdorff_window_is_symmetric_and_sorts():
@@ -299,6 +304,14 @@ def test_sweep_grid_validation():
         sweep(t, window=2 * t.reliable_window)
 
 
+def test_sweep_rejects_nan_window_and_eps():
+    t = build_torus_triple(0, 1, np.zeros((1, 1)), 1)
+    with pytest.raises(PreconditionError, match="window must be positive"):
+        sweep(t, window=math.nan)
+    with pytest.raises(PreconditionError, match="eps values must be positive"):
+        sweep(t, eps_grid=[math.nan])
+
+
 def test_sweep_rejects_labels_that_split_a_coupled_pair():
     # d_v couples the two indices of each momentum block; relabel one of them
     cb = build_circle_bundle_blocks([1.0], 1.0, -1, 1).as_decomposition()
@@ -323,6 +336,75 @@ def test_sweep_without_labels_is_one_sector():
         assert np.allclose(sw.spectra[i], expected, atol=1e-12)
 
 
+# ------------------------------------------------- sweeps split across cores
+
+def _planted_five_blocks():
+    """Five blocks of 3 over a scattered partition (five does not divide
+    over two or three cores), one kernel vector per block, which d_h keeps."""
+    rng = np.random.default_rng(29)
+    idx = rng.permutation(15).reshape(5, 3)
+    h = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    h = (h + h.conj().transpose(0, 2, 1)) / 4
+    h[:, 0, 1:] = h[:, 1:, 0] = 0.0
+    w = np.zeros((5, 3, 3), dtype=complex)
+    w[:, 1, 1], w[:, 2, 2] = 2.0, -1.0
+    bh = BlockDiagonalOperator(15, idx, h)
+    bv = BlockDiagonalOperator(15, idx, w)
+    dense = _manual_split(bh.to_dense(), bv.to_dense())
+    return dataclasses.replace(dense, d_h=bh, d_v=bv)
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_sweep_split_across_cores_is_bit_identical(cores, monkeypatch, fresh_pool):
+    models = [build_torus_triple(1, 1, np.zeros((2, 2)), 1, materialize="blocks"),
+              _planted_five_blocks()]
+    monkeypatch.setattr(core, "_SPLIT_WORK", 0)
+    monkeypatch.setattr(core, "_CORES", 1)
+    expected = [sweep(m) for m in models]
+    assert core._POOL is None
+    monkeypatch.setattr(core, "_CORES", cores)
+    for m, ref in zip(models, expected):
+        got = sweep(m)
+        assert np.array_equal(got.spectra, ref.spectra)
+        assert got.sector_tracks.keys() == ref.sector_tracks.keys()
+        for key, track in ref.sector_tracks.items():
+            assert np.array_equal(got.sector_tracks[key], track)
+        assert np.array_equal(got.base_spectrum, ref.base_spectrum)
+        assert got.hausdorff_curve == ref.hausdorff_curve
+        assert got.horizontal_norm == ref.horizontal_norm
+    assert core._POOL is not None
+
+
+def _sweep_in_child(dec, out):
+    out.put(sweep(dec).spectra)
+
+
+def test_forked_child_sweeps_blocks_after_the_pool_is_built(monkeypatch, fresh_pool):
+    # the parent's pool threads do not survive a fork: the child must build
+    # its own pool instead of queueing work that no thread will run
+    monkeypatch.setattr(core, "_SPLIT_WORK", 0)
+    monkeypatch.setattr(core, "_CORES", 2)
+    t = build_torus_triple(1, 1, np.zeros((2, 2)), 1, materialize="blocks")
+    expected = sweep(t).spectra
+    assert core._POOL is not None
+    ctx = multiprocessing.get_context("fork")
+    out = ctx.Queue()
+    child = ctx.Process(target=_sweep_in_child, args=(t, out))
+    child.start()
+    try:
+        got = out.get(timeout=60)
+    except queue.Empty:
+        got = None
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert got is not None, "the forked child's block sweep hung"
+    assert np.array_equal(got, expected)
+    assert child.exitcode == 0
+
+
 # ------------------------------------------------------- restriction defect
 
 def test_restriction_defect_zero_at_t_zero():
@@ -342,6 +424,8 @@ def test_restriction_defect_crossed_product_sampled():
         assert unitary_restriction_check(cx, 0.3, float(tval)) <= 1e-8
     with pytest.raises(PreconditionError):
         unitary_restriction_check(cx, -1.0, 1.0)
+    with pytest.raises(PreconditionError, match="eps must be positive"):
+        unitary_restriction_check(cx, math.nan, 1.0)
 
 
 def test_restriction_defect_block_torus_matches_dense():

@@ -2,12 +2,16 @@
 from __future__ import annotations
 
 import ast
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import collapselab.core as core
+from collapselab.builders import build_torus_triple
 from collapselab.core import (
     AlgebraElement,
     BlockDiagonalOperator,
@@ -222,6 +226,93 @@ def test_block_mixed_with_dense_commutator():
     dense = np.kron(SZ, I2)
     c = commutator(rep, dense)
     assert np.allclose(c, rep.to_dense() @ dense - dense @ rep.to_dense(), atol=1e-12)
+
+
+# ------------------------------------------------- stacks split across cores
+
+def _planted_stacks():
+    """Five blocks of 4 over a scattered partition (five does not divide
+    over two or three cores): a Hermitian stack, a general one, and one
+    repeated Hermitian block."""
+    rng = np.random.default_rng(41)
+    idx = rng.permutation(20).reshape(5, 4)
+    g = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    h = g + g.conj().transpose(0, 2, 1)
+    rep = rand_complex(rng, 4)
+    return (BlockDiagonalOperator(20, idx, h), BlockDiagonalOperator(20, idx, g),
+            BlockDiagonalOperator(20, idx, (rep + rep.conj().T)[None]))
+
+
+def _split_results():
+    """Commutator blocks, norms (eigensolver and SVD paths) and spectra of
+    the planted stacks and of a block torus."""
+    t = build_torus_triple(1, 1, np.zeros((2, 2)), 1, materialize="blocks")
+    h, g, rep = _planted_stacks()
+    pairs = [(h, g), (g, rep), (rep, h), (t.total.dirac, t.d_v)]
+    pairs += [(t.total.dirac, b) for b in t.total.algebra_basis]
+    out = []
+    for a, b in pairs:
+        c = commutator(a, b)
+        out += [c.blocks, op_norm(c), op_norm(a), op_norm(b)]
+    for op in (h, rep, t.d_h, t.d_v, t.total.dirac):
+        out.append(hermitian_spectrum(op))
+    return out
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_split_stacks_are_bit_identical(cores, monkeypatch, fresh_pool):
+    monkeypatch.setattr(core, "_SPLIT_WORK", 0)
+    monkeypatch.setattr(core, "_CORES", 1)
+    expected = _split_results()
+    assert core._POOL is None
+    monkeypatch.setattr(core, "_CORES", cores)
+    got = _split_results()
+    assert core._POOL is not None
+    assert len(got) == len(expected)
+    for x, y in zip(expected, got):
+        assert np.array_equal(x, y)
+
+
+def test_split_stacks_from_concurrent_callers(monkeypatch, fresh_pool):
+    # more calling threads than cores race to build and share the one pool
+    monkeypatch.setattr(core, "_SPLIT_WORK", 0)
+    monkeypatch.setattr(core, "_CORES", 1)
+    expected = _split_results()
+    monkeypatch.setattr(core, "_CORES", 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as callers:
+            runs = [callers.submit(_split_results) for _ in range(4)]
+            results = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert len(got) == len(expected)
+        assert all(np.array_equal(x, y) for x, y in zip(expected, got))
+
+
+def test_one_block_and_small_stacks_never_build_the_pool(monkeypatch, fresh_pool):
+    monkeypatch.setattr(core, "_CORES", 3)
+    h, g, rep = _planted_stacks()
+    # below the work constant: stacks of many blocks stay on one core
+    commutator(h, g)
+    op_norm(g)
+    hermitian_spectrum(h)
+    # one stored block, dense or repeated, whatever the constant: its
+    # commutators and norms never split (a repeated block's spectrum lists
+    # every copy, so it is a full stack)
+    monkeypatch.setattr(core, "_SPLIT_WORK", 0)
+    rng = np.random.default_rng(5)
+    m = rand_complex(rng, 6)
+    d = m + m.conj().T
+    commutator(d, m)
+    op_norm(m)
+    op_norm(commutator(d, m))
+    hermitian_spectrum(d)
+    commutator(rep, rep)
+    op_norm(rep)
+    assert core._POOL is None
 
 
 # ------------------------------------------------------------ sampled laws

@@ -344,6 +344,8 @@ def test_audit_input_contracts():
         hypothesis_audit(t, samples=0)
     with pytest.raises(PreconditionError):
         hypothesis_audit(t, eps_list=(1.0, -0.5), samples=5)
+    with pytest.raises(PreconditionError, match="eps values must be positive"):
+        hypothesis_audit(t, eps_list=(1.0, math.nan), samples=5)
 
 
 def test_sample_self_adjoint_is_hermitian_and_seeded():
