@@ -13,7 +13,11 @@ Block stacks whose work (blocks times block size cubed) reaches
 into contiguous slices, one per core the process may run on, on a shared
 thread pool.  Each block still gets the same LAPACK or BLAS call, so the
 results are bit-identical to one core.  Dense matrices and smaller stacks
-never reach the pool.
+never reach the pool, and neither does anything unless the environment pins
+BLAS to one thread (``OPENBLAS_NUM_THREADS=1`` and ``OMP_NUM_THREADS=1``, or
+their MKL and GOTO counterparts).  The same pool runs the seeded starts of
+``qmetric``'s state-distance ascent, one start per task, when their
+eigensolves add up to ``_SPLIT_WORK``.
 """
 from __future__ import annotations
 
@@ -249,9 +253,36 @@ def _sum(a: OperatorLike, b: OperatorLike, eps: float = 1.0):
 #: Work (blocks x block size cubed) from which a block stack is split across
 #: cores: about four 196 x 196 blocks.
 _SPLIT_WORK = 4 * 196 ** 3
-#: Cores this process may run on: one slice of a split stack each.
-_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-          else os.cpu_count() or 1)
+
+
+def _blas_pinned_to_one_thread(env=os.environ) -> bool:
+    """Whether the environment runs BLAS on one thread: OpenBLAS takes the
+    first positive count of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS, MKL that of MKL_NUM_THREADS and OMP_NUM_THREADS, and
+    both must read 1."""
+    def first_count(names):
+        for name in names:
+            try:
+                count = int(env.get(name, ""))
+            except ValueError:
+                continue
+            if count > 0:
+                return count
+        return None
+
+    return (first_count(("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                         "OMP_NUM_THREADS")) == 1
+            and first_count(("MKL_NUM_THREADS", "OMP_NUM_THREADS")) == 1)
+
+
+#: Cores this process may run on: one slice of a split stack each.  One
+#: when BLAS may run threads of its own: its calls then spread over the
+#: cores already, and pool threads contending with them made 2000-step
+#: ascents 1.65-1.93x and stacked eigensolves 1.3x slower than one core
+#: (2-core box).
+_CORES = ((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+          if _blas_pinned_to_one_thread() else 1)
 _POOL = None
 _POOL_LOCK = threading.Lock()
 
@@ -276,7 +307,9 @@ def _slices(n: int, bd: int):
 
 
 def _on_cores(task, parts) -> list:
-    """task(s) for every slice s, run on the pool (built on first use)."""
+    """task(s) for every part s (a slice of a block stack, or an ascent
+    start), run on the pool (built on first use); results in part order.
+    A task must not itself wait on the pool."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:

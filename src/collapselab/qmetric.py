@@ -6,6 +6,12 @@ the shortest-path metric and are exact.  A brute-force oracle covers any
 model whose gauge-reduced parameter space has at most four real dimensions.
 Everything else gets projected-ascent lower bounds with feasible
 certificates, never presented as exact.
+
+The ascent's seeded starts are independent once their start vectors are
+drawn, so a large model runs them on ``core``'s thread pool, one start per
+task, when BLAS is pinned to one thread (see ``core``); each start makes
+the same LAPACK calls as on one core, and the results are combined in start
+order, so every bit is kept.
 """
 
 import math
@@ -13,8 +19,10 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog, minimize
 
+from . import core
 from .core import (
     DENSE_LIMIT,
     AlgebraElement,
@@ -215,26 +223,27 @@ def _vertex_marginal(structure, rho: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
+def _coupling_constraints(n: int) -> sparse.csc_array:
+    """The equality rows of the transport LP over n x n couplings raveled
+    row-major: n row sums, then the first n - 1 column sums (the last one is
+    implied).  In CSC form, the form linprog hands HiGHS."""
+    k = np.arange(n * n, dtype=np.int32)
+    i, j = np.divmod(k, n)
+    keep = j < n - 1
+    rows = np.concatenate([i, n + j[keep]])
+    cols = np.concatenate([k, k[keep]])
+    return sparse.csc_array((np.ones(len(rows)), (rows, cols)),
+                            shape=(2 * n - 1, n * n))
+
+
 def _transport_distance(ground: np.ndarray, p: np.ndarray, q: np.ndarray):
     """W1 between vertex distributions: LP over couplings, then a
     1-Lipschitz potential recovered from the duals by c-transform."""
     n = ground.shape[0]
     if not np.all(np.isfinite(ground)):
         return math.inf, None
-    c = ground.ravel()
-    rows = []
-    rhs = []
-    for i in range(n):
-        r = np.zeros((n, n))
-        r[i, :] = 1.0
-        rows.append(r.ravel())
-        rhs.append(p[i])
-    for j in range(n - 1):       # last column constraint is redundant
-        r = np.zeros((n, n))
-        r[:, j] = 1.0
-        rows.append(r.ravel())
-        rhs.append(q[j])
-    res = linprog(c, A_eq=np.stack(rows), b_eq=np.array(rhs),
+    res = linprog(ground.ravel(), A_eq=_coupling_constraints(n),
+                  b_eq=np.concatenate([p, q[:n - 1]]),
                   bounds=(0, None), method="highs")
     if not res.success:
         raise PreconditionError(f"transport solver failed: {res.message}")
@@ -299,49 +308,70 @@ def _ascent_distance(model, phi, psi, iterations, seed):
 
     comm_stack = span.commutators
     scale_ref = max(op_norm(c) for c in span.commutators)
+    n = comm_stack.shape[-1]
+    # x.reshape(1, -1).dot(flat) is the product np.tensordot(x, comm_stack, 1)
+    # forms, so cmat keeps every bit
+    flat = comm_stack.reshape(len(comm_stack), -1)
+    i_stack = 1j * comm_stack
 
     def ratio_and_grad(x):
-        cmat = np.tensordot(x, comm_stack, axes=1)
-        h = 1j * cmat                      # commutator is anti-Hermitian
-        vals, vecs = np.linalg.eigh(h)
+        cmat = x.reshape(1, -1).dot(flat).reshape(n, n)
+        vals, vecs = np.linalg.eigh(1j * cmat)  # commutator is anti-Hermitian
         top = int(np.argmax(np.abs(vals)))
         lam = vals[top]
         lip = abs(lam)
-        if lip <= 1e-13 * scale_ref * np.linalg.norm(x):
+        # np.linalg.norm of a real vector is sqrt(x.dot(x)), rounded the same
+        if lip <= 1e-13 * scale_ref * math.sqrt(x.dot(x)):
             return None                    # degenerate direction
         w = vecs[:, top]
-        dlip = np.array([
-            math.copysign(1.0, lam) * float((w.conj() @ (1j * ck) @ w).real)
-            for ck in comm_stack])
+        wc = w.conj()
+        sign = math.copysign(1.0, lam)
+        dlip = np.array([sign * float((wc @ ick @ w).real) for ick in i_stack])
         obj = float(g @ x)
         return obj / lip, (g - (obj / lip) * dlip) / lip
 
-    rng = np.random.default_rng(seed)
     per_start = max(1, iterations // ASCENT_STARTS)
-    best_value, best_x, converged = 0.0, None, False
-    for s in range(ASCENT_STARTS):
-        x = g.copy() if s == 0 else rng.standard_normal(len(g))
-        x /= np.linalg.norm(x)
+
+    def run_start(x):
+        """One start's ascent from x: (best ratio, its direction, best ratio
+        at the three-quarter mark, None), or (.., .., .., t) when step t found
+        a nonzero displacement at zero cost."""
+        x = x / math.sqrt(x.dot(x))
         local_best, local_x = -math.inf, None
         quarter_mark = -math.inf
         for t in range(1, per_start + 1):
             out = ratio_and_grad(x)
             if out is None:
                 if abs(float(g @ x)) > 1e-12:
-                    # nonzero displacement at zero cost: distance unbounded
-                    return DistanceResult(math.inf, None,
-                                          "ascent-lower-bound", True, t)
+                    return local_best, local_x, quarter_mark, t
                 break
             value, grad = out
             if value > local_best:
                 local_best, local_x = value, x.copy()
             if t == (3 * per_start) // 4:
                 quarter_mark = local_best
-            gn = np.linalg.norm(grad)
+            gn = math.sqrt(grad.dot(grad))
             if gn <= 1e-15:
                 break
             x = x + (ASCENT_STEP_SCALE / math.sqrt(t)) * grad / gn
-            x /= np.linalg.norm(x)
+            x /= math.sqrt(x.dot(x))
+        return local_best, local_x, quarter_mark, None
+
+    # the starts differ only in their seeds: draw them all up front, in the
+    # order one start after another would, then run them one per core when
+    # their eigensolves outweigh the threads' contention for the interpreter
+    rng = np.random.default_rng(seed)
+    starts = [g] + [rng.standard_normal(len(g)) for _ in range(ASCENT_STARTS - 1)]
+    if core._CORES > 1 and per_start * n ** 3 >= core._SPLIT_WORK:
+        runs = core._on_cores(run_start, starts)
+    else:
+        runs = map(run_start, starts)
+    best_value, best_x, converged = 0.0, None, False
+    for local_best, local_x, quarter_mark, unbounded_at in runs:
+        if unbounded_at is not None:
+            # nonzero displacement at zero cost: distance unbounded
+            return DistanceResult(math.inf, None, "ascent-lower-bound", True,
+                                  unbounded_at)
         if local_x is not None and local_best > best_value:
             best_value, best_x = local_best, local_x
             converged = (local_best - quarter_mark) <= 1e-10
@@ -566,6 +596,8 @@ def quantum_diameter(model: SpectralTripleModel, samples: int = 12,
         method = "vertex-oracle" if use_oracle else "vertex-ascent"
         return DiameterReport(float(best), pair, method, False)
 
+    if samples < 1:
+        raise PreconditionError("sample count must be >= 1")
     rng = np.random.default_rng(seed)
     best, pair = 0.0, None
     for s in range(samples):

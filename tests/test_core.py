@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -313,6 +315,33 @@ def test_one_block_and_small_stacks_never_build_the_pool(monkeypatch, fresh_pool
     commutator(rep, rep)
     op_norm(rep)
     assert core._POOL is None
+
+
+@pytest.mark.parametrize("env, pinned", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "1"}, False),                   # MKL unpinned
+    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1",
+      "MKL_NUM_THREADS": "1"}, True),                         # 0 reads as unset
+    ({"OMP_NUM_THREADS": "one"}, False),
+])
+def test_blas_pinned_to_one_thread(env, pinned):
+    assert core._blas_pinned_to_one_thread(env) is pinned
+
+
+def test_pool_runs_only_with_blas_pinned_to_one_thread():
+    # BLAS free to run threads of its own: the process keeps to one core
+    base = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    base["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import os, collapselab.core as c; print(c._CORES, len(os.sched_getaffinity(0)))"
+    for pin, pinned in (({}, False), ({"OMP_NUM_THREADS": "1"}, True)):
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(base, **pin),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        cores, affinity = map(int, proc.stdout.split())
+        assert cores == (affinity if pinned else 1)
 
 
 # ------------------------------------------------------------ sampled laws

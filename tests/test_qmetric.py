@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import collapselab.core as core
 from collapselab import qmetric
+from collapselab.cli_io import load_model
 from collapselab.core import (
     HermitianOperator,
     PreconditionError,
@@ -40,6 +42,8 @@ from collapselab.qmetric import (
     random_pure_state,
     vertex_state,
 )
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -191,6 +195,42 @@ def test_transport_symmetry_and_triangle():
                     assert d[i, k] <= d[i, j] + d[j, k] + 1e-10
 
 
+def _dense_coupling_rows(n: int) -> np.ndarray:
+    """The transport LP's equality rows, one dense row of length n*n each."""
+    rows = []
+    for i in range(n):
+        r = np.zeros((n, n))
+        r[i, :] = 1.0
+        rows.append(r.ravel())
+    for j in range(n - 1):
+        r = np.zeros((n, n))
+        r[:, j] = 1.0
+        rows.append(r.ravel())
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("n", [5, 21, 61])
+@pytest.mark.parametrize("kind", ["path", "cycle"])
+def test_sparse_constraints_match_dense_rows(kind, n, monkeypatch):
+    rng = np.random.default_rng(n)
+    if kind == "path":
+        model = build_path_graph_model(rng.uniform(0.5, 2.0, n - 1).tolist())
+    else:
+        model = build_cycle_graph_model(rng.uniform(0.5, 2.0, n).tolist())
+    ground = model.structure.path_lengths()
+    assert np.array_equal(qmetric._coupling_constraints(n).toarray(),
+                          _dense_coupling_rows(n))
+    marginals = [(np.eye(n)[0], np.eye(n)[n - 1]), (np.eye(n)[1], np.eye(n)[n // 2])]
+    marginals += [(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)))
+                  for _ in range(3)]
+    sparse_runs = [qmetric._transport_distance(ground, p, q) for p, q in marginals]
+    monkeypatch.setattr(qmetric, "_coupling_constraints", _dense_coupling_rows)
+    dense_runs = [qmetric._transport_distance(ground, p, q) for p, q in marginals]
+    for (v1, f1), (v2, f2) in zip(sparse_runs, dense_runs):
+        assert v1 == v2
+        assert f1 is not None and np.array_equal(f1, f2)
+
+
 def test_disconnected_components_are_infinitely_far():
     m = build_graph_model([(0, 1, 1.0), (2, 3, 1.0)])
     res = connes_distance(m, vertex_state(m, 0), vertex_state(m, 2))
@@ -259,11 +299,58 @@ def test_ascent_symmetric_and_deterministic():
     assert abs(fwd.value - rev.value) <= 1e-9
 
 
+def _degenerate_model() -> SpectralTripleModel:
+    """Dirac commuting with the algebra: no finite distance exists."""
+    return SpectralTripleModel(2, (EYE2, SZ), HermitianOperator(2, SZ), "deg")
+
+
 def test_unbounded_metric_reported_infinite():
-    # Dirac commutes with the algebra: no finite distance exists
-    deg = SpectralTripleModel(2, (EYE2, SZ), HermitianOperator(2, SZ), "deg")
-    res = connes_distance(deg, pure_state(2, 0), pure_state(2, 1))
+    res = connes_distance(_degenerate_model(), pure_state(2, 0), pure_state(2, 1))
     assert math.isinf(res.value)
+
+
+def _same_distance(a: DistanceResult, b: DistanceResult) -> bool:
+    """Equal to the last bit: value, certificate, flags and step count."""
+    if (a.value, a.method, a.converged, a.iterations) != (
+            b.value, b.method, b.converged, b.iterations):
+        return False
+    if a.certificate is None or b.certificate is None:
+        return a.certificate is b.certificate
+    return np.array_equal(a.certificate.coefficients, b.certificate.coefficients)
+
+
+@pytest.mark.parametrize("name", ["crossed_d2", "torus_g1f1"])
+def test_ascent_starts_on_cores_are_bit_identical(name, monkeypatch, fresh_pool):
+    # the two fixtures whose starts outweigh _SPLIT_WORK, with the states
+    # the benchmark's ascent jobs draw; 100 steps per start are enough work
+    # to reach the pool (crossed_d2 has dimension 72, torus_g1f1 98)
+    model = load_model(MODELS / f"{name}.json").model
+    rng = np.random.default_rng([0x5D, 1])
+    phi = random_pure_state(model.hilbert_dim, rng)
+    psi = random_pure_state(model.hilbert_dim, rng)
+    monkeypatch.setattr(core, "_CORES", 1)
+    expected = connes_distance(model, phi, psi, iterations=400)
+    assert core._POOL is None
+    assert expected.method == "ascent-lower-bound"
+    for cores in (2, 3):
+        monkeypatch.setattr(core, "_CORES", cores)
+        got = connes_distance(model, phi, psi, iterations=400)
+        assert core._POOL is not None
+        assert _same_distance(got, expected)
+
+
+@pytest.mark.parametrize("model, phi, psi", [
+    (_spin_model(), pure_state(2, 0), pure_state(2, 1)),
+    (_degenerate_model(), pure_state(2, 0), pure_state(2, 1)),
+], ids=["spin", "unbounded"])
+def test_small_ascents_match_on_the_pool(model, phi, psi, monkeypatch, fresh_pool):
+    monkeypatch.setattr(core, "_CORES", 2)
+    expected = connes_distance(model, phi, psi)
+    assert core._POOL is None          # below the work constant: one core
+    monkeypatch.setattr(core, "_SPLIT_WORK", 0)
+    got = connes_distance(model, phi, psi)
+    assert core._POOL is not None
+    assert _same_distance(got, expected)
 
 
 # ------------------------------------------------------- brute-force oracle
@@ -431,6 +518,16 @@ def test_sampled_diameter_is_a_lower_bound():
     assert 0.6 < rep.value <= 1.0 + 1e-9
     again = quantum_diameter(spin, samples=12, seed=3)
     assert rep.value == again.value
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_diameter_needs_a_sample(samples):
+    cd1 = load_model(MODELS / "crossed_d1.json").model
+    with pytest.raises(PreconditionError, match="sample count"):
+        quantum_diameter(cd1, samples=samples)
+    # graph models enumerate their vertices and never read the count
+    path = build_path_graph_model([1.0, 2.0])
+    assert quantum_diameter(path, samples=samples) == quantum_diameter(path)
 
 
 def test_degenerate_metric_has_infinite_diameter():
