@@ -7,6 +7,13 @@ model whose gauge-reduced parameter space has at most four real dimensions.
 Everything else gets projected-ascent lower bounds with feasible
 certificates, never presented as exact.
 
+The oracle scans directions of that space and polishes the best three by
+Nelder-Mead, run step for step as scipy runs it but with every simplex in
+lockstep: each phase scores all its new points in one stacked call.  A
+vertex-oracle diameter scans once for all its vertex pairs, since only the
+objective depends on the pair, and polishes every pair's starts in one
+lockstep.
+
 The ascent's seeded starts are independent once their start vectors are
 drawn, so a large model runs them on ``core``'s thread pool, one start per
 task, when BLAS is pinned to one thread (see ``core``); each start makes
@@ -20,7 +27,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 
 from . import core
 from .core import (
@@ -39,8 +46,10 @@ from .core import (
 STATE_TRACE_TOL = 1e-12
 CERTIFICATE_SLACK = 1e-9
 
-#: parameter cap for the brute-force oracle, after gauge reduction
+#: parameter cap for the brute-force oracle, after gauge reduction, and the
+#: seed of its scan
 ORACLE_MAX_PARAMS = 4
+ORACLE_SEED = 7
 
 #: seeded restarts of the projected ascent, and its step size at t = 1
 ASCENT_STARTS = 4
@@ -68,6 +77,9 @@ class StateFunctional:
 
     def __post_init__(self):
         rho = np.asarray(self.density, dtype=complex)
+        # every comparison below is False on NaN, and inf turns to NaN there
+        if not np.isfinite(rho).all():
+            raise PreconditionError("density entries must be finite")
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise PreconditionError("density must be a square matrix")
         scale = max(1.0, float(np.max(np.abs(rho))) if rho.size else 0.0)
@@ -427,19 +439,35 @@ def _commutator_norms(stack: np.ndarray, exactly_anti: bool) -> np.ndarray:
     return norms
 
 
-def _ratio_chunk(span: _HermitianSpan, directions: np.ndarray,
-                 delta: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    xs = np.array([directions @ y for y in ys])
-    # np.linalg.norm of a real vector is sqrt(x.dot(x)), rounded the same
-    x_norms = np.array([math.sqrt(x.dot(x)) for x in xs])
-    # a = sum x_k b_k and [D, a] = sum x_k [D, b_k] side by side, summed from
-    # zero in ascending k, so every entry rounds as commutator_of's does
-    terms = xs[:, None, :, None, None] * span.stack
-    acc = np.zeros(terms.shape[:2] + terms.shape[3:], dtype=complex)
-    for k in range(span.n_params):
-        acc += terms[:, :, k]
+def _chunks(span: _HermitianSpan, directions: np.ndarray, ys: np.ndarray,
+            per_row_delta: bool = False):
+    """The parameter rows ys in chunks of bounded memory: for each chunk, its
+    slice of ys and, at each row's x = directions @ y, |x| and the seminorm
+    of [D, a] next to acc, which stacks a = sum x_k b_k as acc[:, 0] and
+    [D, a] as acc[:, 1].  A chunk that carries one delta per row holds one
+    more n x n matrix per row."""
+    n = span.stack.shape[-1]
+    per_row = (2 * span.n_params + 8 + per_row_delta) * 16 * n * n
+    step = max(1, _ORACLE_CHUNK_BYTES // per_row)
+    for i in range(0, len(ys), step):
+        xs = np.array([directions @ y for y in ys[i:i + step]])
+        # np.linalg.norm of a real vector is sqrt(x.dot(x)), rounded the same
+        x_norms = np.array([math.sqrt(x.dot(x)) for x in xs])
+        # a = sum x_k b_k and [D, a] = sum x_k [D, b_k] side by side, summed
+        # from zero in ascending k, so every entry rounds as commutator_of's
+        terms = xs[:, None, :, None, None] * span.stack
+        acc = np.zeros(terms.shape[:2] + terms.shape[3:], dtype=complex)
+        for k in range(span.n_params):
+            acc += terms[:, :, k]
+        den = _commutator_norms(acc[:, 1], span.exactly_anti)
+        yield slice(i, i + step), x_norms, acc, den
+
+
+def _quotients(delta: np.ndarray, x_norms: np.ndarray, acc: np.ndarray,
+               den: np.ndarray) -> np.ndarray:
+    """trace(delta @ a) / seminorm for each row of a chunk, with +inf where
+    the seminorm vanishes under a positive objective and 0 where both do."""
     num = (delta @ acc[:, 0]).trace(axis1=1, axis2=2).real
-    den = _commutator_norms(acc[:, 1], span.exactly_anti)
     degenerate = den <= 1e-14 * np.maximum(1.0, x_norms)
     out = np.divide(num, den, out=np.zeros_like(num), where=~degenerate)
     out[degenerate & (num > 1e-12)] = math.inf
@@ -450,11 +478,25 @@ def _ratios(span: _HermitianSpan, directions: np.ndarray, delta: np.ndarray,
             ys: np.ndarray) -> np.ndarray:
     """objective / seminorm of each parameter row y, at x = directions @ y;
     +inf where the seminorm vanishes under a positive objective, 0 where
-    both do.  Rows go through in chunks of bounded memory."""
-    n_params, n = span.n_params, span.stack.shape[-1]
-    rows = max(1, _ORACLE_CHUNK_BYTES // ((2 * n_params + 8) * 16 * n * n))
-    return np.concatenate([_ratio_chunk(span, directions, delta, ys[i:i + rows])
-                           for i in range(0, len(ys), rows)])
+    both do.  delta is one phi - psi for every row, or a stack of one per
+    row; both broadcast through the same delta @ a."""
+    per_row = delta.ndim == 3
+    out = np.empty(len(ys))
+    for rows, x_norms, acc, den in _chunks(span, directions, ys, per_row):
+        out[rows] = _quotients(delta[rows] if per_row else delta, x_norms, acc, den)
+    return out
+
+
+def _scan_ratios(span: _HermitianSpan, directions: np.ndarray,
+                 deltas: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """_ratios of every row against every phi - psi of deltas, shape
+    (len(deltas), len(ys)): each row's element, commutator and seminorm are
+    computed once, only the objective once per delta."""
+    out = np.empty((len(deltas), len(ys)))
+    for rows, x_norms, acc, den in _chunks(span, directions, ys):
+        for p, delta in enumerate(deltas):
+            out[p, rows] = _quotients(delta, x_norms, acc, den)
+    return out
 
 
 def _scan_directions(n_red: int, resolution: int, seed: int) -> np.ndarray:
@@ -466,65 +508,157 @@ def _scan_directions(n_red: int, resolution: int, seed: int) -> np.ndarray:
         angles = np.linspace(0.0, 2.0 * math.pi, 4 * resolution, endpoint=False)
         return np.array([[math.cos(a), math.sin(a)] for a in angles])
     draws = rng.standard_normal((resolution * resolution, n_red))
-    return np.array([d / np.linalg.norm(d) for d in draws])
+    return np.array([d / math.sqrt(d.dot(d)) for d in draws])
+
+
+#: Nelder-Mead as scipy.optimize.minimize(method="Nelder-Mead") runs it with
+#: options {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000}: reflection,
+#: expansion, contraction and shrink factors, initial simplex steps, stopping
+_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
+_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+_NM_XATOL, _NM_FATOL, _NM_MAXITER = 1e-10, 1e-12, 4000
+
+
+def _nm_sort(sim: np.ndarray, fsim: np.ndarray):
+    """Each simplex's vertices by ascending value.  np.argsort's default
+    kind, as scipy's, need not keep ties in order; row by row along the last
+    axis it orders each row as it orders that row alone."""
+    ind = np.argsort(fsim, axis=1)
+    return np.take_along_axis(sim, ind[:, :, None], 1), np.take_along_axis(fsim, ind, 1)
+
+
+def _nelder_mead(f, x0: np.ndarray):
+    """Minimize from each row of x0 by Nelder-Mead, step for step as scipy
+    does, with every simplex in lockstep: all live simplices reflect, then
+    expand or contract, then shrink, and each phase scores its new points
+    in one call f(owners, points), owners[i] naming the start of points[i].
+    Returns each start's (fun, x, nfev) as scipy's result would carry them."""
+    n_starts, n = x0.shape
+    sim = np.empty((n_starts, n + 1, n))
+    sim[:, 0] = x0
+    for k in range(n):
+        y = x0.copy()
+        nonzero = y[:, k] != 0
+        y[nonzero, k] = (1 + _NM_NONZDELT) * y[nonzero, k]
+        y[~nonzero, k] = _NM_ZDELT
+        sim[:, k + 1] = y
+    live = np.arange(n_starts)
+    fsim = f(np.repeat(live, n + 1), sim.reshape(-1, n)).reshape(n_starts, n + 1)
+    nfev = np.full(n_starts, n + 1)
+    # scipy sorts twice before its first step; an unstable sort may swap
+    # ties the second time too
+    sim, fsim = _nm_sort(*_nm_sort(sim, fsim))
+    for _ in range(1, _NM_MAXITER):
+        s, fs = sim[live], fsim[live]
+        # -inf - -inf is NaN, which scipy's test reads as not converged
+        with np.errstate(invalid="ignore"):
+            done = ((np.max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) <= _NM_XATOL)
+                    & (np.max(np.abs(fs[:, :1] - fs[:, 1:]), axis=1) <= _NM_FATOL))
+        if done.any():
+            live, s, fs = live[~done], s[~done], fs[~done]
+            if not len(live):
+                break
+        xbar = np.add.reduce(s[:, :-1], 1) / n
+        worst = s[:, -1]
+        xr = (1 + _NM_RHO) * xbar - _NM_RHO * worst
+        fxr = f(live, xr)
+        nfev[live] += 1
+        expand = fxr < fs[:, 0]
+        contract = ~expand & ~(fxr < fs[:, -2])
+        outside = contract & (fxr < fs[:, -1])
+        # expansion, outside or inside contraction: a second point each
+        two = np.flatnonzero(expand | contract)
+        xb, w = xbar[two], worst[two]
+        second = np.where(
+            expand[two, None], (1 + _NM_RHO * _NM_CHI) * xb - _NM_RHO * _NM_CHI * w,
+            np.where(outside[two, None], (1 + _NM_PSI * _NM_RHO) * xb - _NM_PSI * _NM_RHO * w,
+                     (1 - _NM_PSI) * xb + _NM_PSI * w))
+        f2 = f(live[two], second)
+        nfev[live[two]] += 1
+        taken = np.where(expand[two], f2 < fxr[two],
+                         np.where(outside[two], f2 <= fxr[two], f2 < fs[two, -1]))
+        xr[two[taken]], fxr[two[taken]] = second[taken], f2[taken]
+        shrink = np.zeros(len(live), dtype=bool)
+        shrink[two[~taken & ~expand[two]]] = True
+        s[~shrink, -1], fs[~shrink, -1] = xr[~shrink], fxr[~shrink]
+        if shrink.any():
+            sh = s[shrink]
+            sh[:, 1:] = sh[:, :1] + _NM_SIGMA * (sh[:, 1:] - sh[:, :1])
+            s[shrink] = sh
+            fs[shrink, 1:] = f(np.repeat(live[shrink], n),
+                               sh[:, 1:].reshape(-1, n)).reshape(-1, n)
+            nfev[live[shrink]] += n
+        sim[live], fsim[live] = _nm_sort(s, fs)
+    return np.min(fsim, axis=1), sim[:, 0], nfev
+
+
+def _oracles(span: _HermitianSpan, directions: np.ndarray, deltas: np.ndarray,
+             resolution: int, seed: int) -> list:
+    """The brute-force oracle for each phi - psi in deltas on one model.
+    The scan directions are drawn once and each one's seminorm solved once
+    for all deltas; then every delta's best three scan directions are
+    polished by Nelder-Mead, all in one lockstep."""
+    if resolution < 1:
+        raise PreconditionError("resolution must be positive")
+    n_red = directions.shape[1]
+    if n_red == 0:
+        return [OracleResult(0.0, 0.0, 0) for _ in deltas]
+    if n_red == 1:
+        scores = _scan_ratios(span, directions, deltas, np.array([[1.0], [-1.0]]))
+        return [OracleResult(v, 1e-12 if math.isfinite(v) else 0.0, 2)
+                for v in map(max, scores.tolist())]
+
+    cands = _scan_directions(n_red, resolution, seed)
+    # Python's sort is stable under reverse=True: ties keep scan order
+    tops = [sorted(range(len(cands)), key=row.__getitem__, reverse=True)[:3]
+            for row in _scan_ratios(span, directions, deltas, cands).tolist()]
+    owner = np.repeat(np.arange(len(deltas)), [len(t) for t in tops])
+
+    def objective(starts, ys):
+        delta = deltas[0] if len(deltas) == 1 else deltas[owner[starts]]
+        return -_ratios(span, directions, delta, ys)
+
+    fun, _, nfev = _nelder_mead(objective, cands[np.concatenate(tops)])
+    results = []
+    for p in range(len(deltas)):
+        mine = owner == p
+        polished = (-fun[mine]).tolist()
+        count = len(cands) + int(nfev[mine].sum())
+        value = max(polished)
+        if math.isinf(value):
+            results.append(OracleResult(math.inf, 0.0, count))
+            continue
+        accuracy = max(1e-8, value - min(polished)) if len(polished) > 1 else 1e-8
+        results.append(OracleResult(float(value), float(accuracy), count))
+    return results
 
 
 def distance_bruteforce_oracle(model: SpectralTripleModel, phi: StateFunctional,
                                psi: StateFunctional, resolution: int = 48,
-                               seed: int = 7, _basis=None) -> OracleResult:
+                               seed: int = ORACLE_SEED) -> OracleResult:
     """Independent low-dimensional check of the state distance.
 
     Scans directions of the gauge-reduced self-adjoint span (identity
     removed; at most four real parameters), evaluating the scale-invariant
     ratio objective/seminorm from first principles, then polishes the best
-    candidates with a derivative-free local search.  The reported accuracy
-    is the scatter of the polished top candidates plus solver tolerance.
-    ``_basis`` is a (span, reduced directions) pair already built for this
-    model, for callers that run many oracles on one model.
+    three candidates with Nelder-Mead, run step for step as
+    ``scipy.optimize.minimize(method="Nelder-Mead")`` runs it (xatol 1e-10,
+    fatol 1e-12, 4000 iterations) but with the three simplices in lockstep.
+    The reported accuracy is the scatter of the polished candidates plus
+    solver tolerance; ``evaluations`` counts every ratio evaluated.
     """
     check_dense_limit(model)
     if phi.dim != model.hilbert_dim or psi.dim != model.hilbert_dim:
         raise PreconditionError("state dimension does not match the model")
-    if resolution < 1:
-        raise PreconditionError("resolution must be positive")
-    if _basis is None:
-        span = _HermitianSpan(model)
-        _basis = span, span.reduced_directions()
-    span, directions = _basis
+    span = _HermitianSpan(model)
+    directions = span.reduced_directions()
     n_red = directions.shape[1]
     if n_red > ORACLE_MAX_PARAMS:
         raise PreconditionError(
             f"dimension too large for brute force: {n_red} free parameters "
             f"after gauge fixing (cap {ORACLE_MAX_PARAMS})")
-    delta = phi.density - psi.density
-    if n_red == 0:
-        return OracleResult(0.0, 0.0, 0)
-
-    count = 0
-
-    def ratios(ys: np.ndarray) -> list:
-        nonlocal count
-        count += len(ys)
-        return _ratios(span, directions, delta, ys).tolist()
-
-    if n_red == 1:
-        v = max(ratios(np.array([[1.0], [-1.0]])))
-        return OracleResult(v, 1e-12 if math.isfinite(v) else 0.0, count)
-
-    cands = _scan_directions(n_red, resolution, seed)
-    scores = ratios(cands)
-    # Python's sort is stable under reverse=True: ties keep scan order
-    top = sorted(range(len(cands)), key=scores.__getitem__, reverse=True)[:3]
-    polished = []
-    for y0 in cands[top]:
-        res = minimize(lambda y: -ratios(y[None])[0], y0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-        polished.append(-res.fun)
-    value = max(polished)
-    if math.isinf(value):
-        return OracleResult(math.inf, 0.0, count)
-    accuracy = max(1e-8, value - min(polished)) if len(polished) > 1 else 1e-8
-    return OracleResult(float(value), float(accuracy), count)
+    return _oracles(span, directions, (phi.density - psi.density)[None],
+                    resolution, seed)[0]
 
 
 # ----------------------------------------------------------- quantum diameter
@@ -579,20 +713,21 @@ def quantum_diameter(model: SpectralTripleModel, samples: int = 12,
             return DiameterReport(float(lengths[i, j]), (int(i), int(j)),
                                   "vertex-enumeration", False)
         use_oracle = directions.shape[1] <= ORACLE_MAX_PARAMS
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        states = [vertex_state(model, v) for v in range(n)]
+        if use_oracle:
+            deltas = np.array([states[i].density - states[j].density
+                               for i, j in pairs])
+            values = [r.value for r in _oracles(span, directions, deltas,
+                                                resolution, ORACLE_SEED)]
+        else:
+            values = [connes_distance(model, states[i], states[j],
+                                      iterations=iterations).value
+                      for i, j in pairs]
         best, pair = 0.0, (0, 0)
-        for i in range(n):
-            for j in range(i + 1, n):
-                si = vertex_state(model, i)
-                sj = vertex_state(model, j)
-                if use_oracle:
-                    d = distance_bruteforce_oracle(
-                        model, si, sj, resolution=resolution,
-                        _basis=(span, directions)).value
-                else:
-                    d = connes_distance(model, si, sj,
-                                        iterations=iterations).value
-                if d > best:
-                    best, pair = d, (i, j)
+        for d, ij in zip(values, pairs):
+            if d > best:
+                best, pair = d, ij
         method = "vertex-oracle" if use_oracle else "vertex-ascent"
         return DiameterReport(float(best), pair, method, False)
 

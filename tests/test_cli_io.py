@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +400,22 @@ def test_precondition_messages(argv, message, capsys):
     captured = capsys.readouterr()
     assert message in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+@pytest.mark.parametrize("oracle", [["--oracle"], []], ids=["oracle", "ascent"])
+def test_non_finite_density_exit_codes(entry, oracle, tmp_path, capsys):
+    rows = [[0] * 4 for _ in range(4)]
+    density = tmp_path / "density.json"
+    density.write_text(json.dumps(rows).replace("0", entry, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no numpy warning on the way
+        rc = main(["distance", "--model", _fixture("point_collapse_c4"),
+                   "--states", f"density:{density},pure:0"] + oracle)
+    assert rc == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert "density entries must be finite" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_report_exit_code_on_failed_audit(tmp_path):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 
 import collapselab.core as core
 from collapselab import qmetric
@@ -469,6 +470,108 @@ def test_stacked_commutator_norms_follow_op_norm():
                           [op_norm(k) for k in anti])
 
 
+def _polish_cases(model, keep, seed):
+    """(span, reduced directions, stacked phi - psi, starts, owner) for the
+    pairs numbered keep among the model's vertex pairs followed by two Haar
+    pairs, each pair with its three best scan rows at resolution 5 and one
+    Gaussian row as Nelder-Mead starts; owner[k] is start k's pair."""
+    rng = np.random.default_rng(seed)
+    n, dim = model.structure.n_vertices, model.hilbert_dim
+    pairs = [(vertex_state(model, i), vertex_state(model, j))
+             for i in range(n) for j in range(i + 1, n)]
+    pairs += [(random_pure_state(dim, rng), random_pure_state(dim, rng))
+              for _ in range(2)]
+    span = qmetric._HermitianSpan(model)
+    directions = span.reduced_directions()
+    deltas = np.array([pairs[p][0].density - pairs[p][1].density for p in keep])
+    scan = qmetric._scan_directions(directions.shape[1], 5, 7)
+    starts, owner = [], []
+    for p, row in enumerate(qmetric._scan_ratios(span, directions, deltas, scan)):
+        top = np.argsort(-row, kind="stable")[:3]
+        starts += list(scan[top]) + [rng.standard_normal(directions.shape[1])]
+        owner += [p] * 4
+    return span, directions, deltas, np.array(starts), np.array(owner)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _assert_lockstep_matches_scipy(span, directions, deltas, starts, owner):
+    """Every start polished in one lockstep against its own serial scipy
+    run: fun, x and nfev equal to the last bit."""
+    def objective(who, ys):
+        return -qmetric._ratios(span, directions, deltas[owner[who]], ys)
+
+    fun, x, nfev = qmetric._nelder_mead(objective, starts)
+    for k, y0 in enumerate(starts):
+        delta = deltas[owner[k]]
+        with np.errstate(invalid="ignore"):     # scipy's -inf - -inf
+            ref = minimize(lambda y: -qmetric._ratios(span, directions, delta, y[None])[0],
+                           y0, method="Nelder-Mead",
+                           options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
+        assert (_bits(fun[k]), _bits(x[k]), int(nfev[k])) == \
+            (_bits(ref.fun), _bits(ref.x), ref.nfev), k
+
+
+#: (model, pairs kept): 152 starts with 2, 3 and 4 free parameters, the
+#: 4-parameter pairs picked so that the serial scipy runs stay near a second
+#: per model; one cycle4 and one path5 start run all 4000 iterations
+_POLISH_MODELS = {
+    "cycle3": (lambda: build_cycle_adjacency_model(3, 1.0), range(5)),
+    "path3": (lambda: build_path_graph_model([1.0, 2.0]), range(5)),
+    "cycle4": (lambda: build_cycle_adjacency_model(4, 1.0), range(8)),
+    "cycle4_weighted": (lambda: build_cycle_adjacency_model(4, 0.7), range(8)),
+    "path4": (lambda: build_path_graph_model([1.0, 0.5, 2.0]), range(6)),
+    "cycle5": (lambda: build_cycle_adjacency_model(5, 1.3), (4, 5)),
+    "path5": (lambda: build_path_graph_model([1.0, 1.0, 3.0, 0.5]), (0, 1, 4, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POLISH_MODELS))
+def test_lockstep_nelder_mead_matches_scipy(name):
+    build, keep = _POLISH_MODELS[name]
+    _assert_lockstep_matches_scipy(*_polish_cases(build(), list(keep), 5))
+
+
+def test_lockstep_nelder_mead_matches_scipy_on_an_infinite_objective():
+    # the Dirac misses vertex 2, so a finite move of it costs nothing: the
+    # ratio reaches +inf, the simplex fills with -inf (a NaN in scipy's
+    # stopping test) and each polish runs all 4000 iterations
+    dirac = np.zeros((3, 3), dtype=complex)
+    dirac[0, 1] = dirac[1, 0] = 1.0
+    model = SpectralTripleModel(
+        3, tuple(np.diag(np.eye(3)[k]).astype(complex) for k in range(3)),
+        HermitianOperator(3, dirac), "loose", identity_coefficients=np.ones(3))
+    span = qmetric._HermitianSpan(model)
+    directions = span.reduced_directions()
+    deltas = np.array([pure_state(3, 0).density - pure_state(3, 2).density,
+                       pure_state(3, 0).density - pure_state(3, 1).density])
+    starts = np.array([[0.6, -0.8], [0.3, 0.1]])
+    _assert_lockstep_matches_scipy(span, directions, deltas, starts,
+                                   np.array([0, 1]))
+    assert distance_bruteforce_oracle(model, pure_state(3, 0), pure_state(3, 2),
+                                      resolution=5).value == math.inf
+
+
+def test_stacked_rows_score_as_alone():
+    """A row's ratio does not depend on which other pairs' rows share its
+    stack, nor on whether its delta is given once or per row."""
+    model = build_cycle_adjacency_model(4, 1.0)
+    span, directions, deltas, starts, owner = _polish_cases(model, range(8), 3)
+    scan = qmetric._scan_directions(directions.shape[1], 32, 7)
+    rows = np.vstack([starts, scan[:200], np.zeros((1, directions.shape[1]))])
+    rng = np.random.default_rng(1)
+    owner = np.concatenate([owner, rng.integers(len(deltas), size=len(rows) - len(owner))])
+    mixed = qmetric._ratios(span, directions, deltas[owner], rows)
+    for p, delta in enumerate(deltas):
+        mine = owner == p
+        alone = qmetric._ratios(span, directions, delta, rows[mine])
+        assert _bits(mixed[mine]) == _bits(alone)
+        assert _bits(qmetric._scan_ratios(span, directions, deltas, rows)[p]) == \
+            _bits(qmetric._ratios(span, directions, delta, rows))
+
+
 # --------------------------------------------------------------- diameters
 
 def test_cycle_diameters_halve_the_length():
@@ -490,19 +593,19 @@ def test_adjacency_diameter():
 
 def test_adjacency_diameter_shares_one_span_across_its_oracles(monkeypatch):
     evaluations, spans = [], []
-    oracle = qmetric.distance_bruteforce_oracle
+    oracles = qmetric._oracles
 
-    def recording_oracle(*args, **kwargs):
-        res = oracle(*args, **kwargs)
-        evaluations.append(res.evaluations)
-        return res
+    def recording_oracles(*args, **kwargs):
+        results = oracles(*args, **kwargs)
+        evaluations.extend(res.evaluations for res in results)
+        return results
 
     class CountingSpan(qmetric._HermitianSpan):
         def __init__(self, model):
             spans.append(model)
             super().__init__(model)
 
-    monkeypatch.setattr(qmetric, "distance_bruteforce_oracle", recording_oracle)
+    monkeypatch.setattr(qmetric, "_oracles", recording_oracles)
     monkeypatch.setattr(qmetric, "_HermitianSpan", CountingSpan)
     rep = quantum_diameter(build_cycle_adjacency_model(4, 1.0))
     # pairs (0,1), (0,2), (0,3), (1,2), (1,3), (2,3) at resolution 32
