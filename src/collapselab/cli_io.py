@@ -101,11 +101,10 @@ def _jsonable(obj):
 
 
 def _scalar_from_json(entry) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if (isinstance(entry, list) and len(entry) == 2
-            and all(isinstance(p, (int, float)) for p in entry)):
-        return complex(entry[0], entry[1])
+    """A number or [re, im]; booleans, which Python counts as ints, are not."""
+    parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry]
+    if all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+        return complex(*parts)
     raise SchemaError(f"matrix entry must be a number or [re, im]: {entry!r}")
 
 
@@ -125,19 +124,20 @@ def _matrix_from_json(obj, name: str) -> np.ndarray:
 
 def _write_text(path: str, text: str) -> None:
     """Atomic write: temp file in the target directory, then rename.  An
-    unwritable target is a usage error (exit code 2)."""
+    unwritable target, a directory included, is a usage error (exit code 2);
+    a failed write leaves no temp file behind."""
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    except OSError as exc:
-        raise SchemaError(f"cannot write {path}: {exc}") from exc
-    try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise SchemaError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -266,7 +266,7 @@ def _edges_from_json(obj) -> list:
         if not isinstance(entry, list) or len(entry) != 3:
             raise SchemaError(f"edge must be [i, j, weight]: {entry!r}")
         i, j, w = entry
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not all(isinstance(k, int) and not isinstance(k, bool) for k in (i, j)):
             raise SchemaError(f"edge endpoints must be integers: {entry!r}")
         edges.append((i, j, _scalar_from_json(w)))
     return edges
@@ -367,18 +367,18 @@ class LoadedModel:
 def load_model(path: str) -> LoadedModel:
     try:
         with open(path, "rb") as handle:
-            raw = hashlib.sha256()
             data = handle.read()
-            raw.update(data)
-    except OSError as exc:
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read model file: {exc}") from exc
-    spec = parse_model_spec(data.decode("utf-8"))
+    spec = parse_model_spec(text)
     built = _build_from_spec(spec)
     if isinstance(built, SpectralTripleModel):
         dec, model = None, built
     else:
         dec, model = built, built.total
-    return LoadedModel(spec=spec, path=path, sha256=raw.hexdigest(),
+    return LoadedModel(spec=spec, path=path,
+                       sha256=hashlib.sha256(data).hexdigest(),
                        decomposition=dec, model=model)
 
 

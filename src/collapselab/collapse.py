@@ -47,15 +47,12 @@ def rescale(dec, eps: float) -> HermitianOperator:
     return HermitianOperator(dec.total.hilbert_dim, dec.dirac_at(eps))
 
 
-def kernel_projection(d_v, tol: float = None, gap: float = None):
-    """Spectral projector onto the eigenvalues of d_v inside (-tol, tol).
-
-    tol defaults to 1e-9 * max(1, norm(d_v)).  When a gap is supplied, any
-    eigenvalue with tol <= |lambda| < gap raises: an eigenvalue inside the
-    forbidden annulus means the kernel cannot be classified reliably.  The
-    result has the same dense or block form as the input.
+def kernel_projection(d_v):
+    """Spectral projector onto the eigenvalues of d_v inside (-tol, tol),
+    tol = 1e-9 * max(1, norm(d_v)).  The result has the same dense or block
+    form as the input.
     """
-    v, kept = _kernel_eigenvectors(d_v, tol, gap)
+    v, kept = _kernel_eigenvectors(d_v)
     return _like(v, np.stack([k @ k.conj().T for k in kept]))
 
 
@@ -364,14 +361,12 @@ class TrackConvergenceReport:
     tolerance: float
 
 
-def track_convergence_report(sw: EpsSweepResult, base_spectrum=None,
-                             tol: float = 1e-9) -> TrackConvergenceReport:
+def track_convergence_report(sw: EpsSweepResult) -> TrackConvergenceReport:
     """Convergence summary of a finished sweep: kernel-sector tracks are
-    tested for Cauchy behavior over the last three grid points and matched
-    to the base spectrum; every other sector is tested for escape at the
-    gap/eps rate."""
-    base = sw.base_spectrum if base_spectrum is None else \
-        np.sort(np.asarray(base_spectrum, dtype=float))
+    tested for Cauchy behavior over the last three grid points, to within
+    tol = 1e-9, and matched to the sweep's base spectrum; every other sector
+    is tested for escape at the gap/eps rate."""
+    base, tol = sw.base_spectrum, 1e-9
     if base.size == 0:
         raise PreconditionError("base spectrum is empty")
 

@@ -64,14 +64,14 @@ class PreconditionError(ValueError):
 ComplexMatrix = np.ndarray
 
 
-def as_complex_matrix(obj, *, square: bool = False) -> np.ndarray:
-    """Coerce to a 2-d complex array, rejecting non-finite entries."""
+def as_complex_matrix(obj) -> np.ndarray:
+    """Coerce to a square 2-d complex array, rejecting non-finite entries."""
     a = np.asarray(obj, dtype=complex)
     if a.ndim != 2:
         raise PreconditionError(f"expected a matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
         raise PreconditionError("matrix has non-finite entries")
-    if square and a.shape[0] != a.shape[1]:
+    if a.shape[0] != a.shape[1]:
         raise PreconditionError(f"expected a square matrix, got shape {a.shape}")
     return a
 
@@ -90,8 +90,9 @@ def _hermitian_defect(blocks: np.ndarray) -> float:
     return _max_abs(blocks - _adjoint_blocks(blocks))
 
 
-def is_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
-    return _hermitian_defect(a) <= rtol * (1.0 + _max_abs(a))
+def is_hermitian(a: np.ndarray) -> bool:
+    """a == a* blockwise, within HERMITICITY_RTOL * (1 + max|entry|)."""
+    return _hermitian_defect(a) <= HERMITICITY_RTOL * (1.0 + _max_abs(a))
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ def _raw(op: OperatorLike):
         return op.matrix
     if isinstance(op, BlockDiagonalOperator):
         return op
-    return as_complex_matrix(op, square=True)
+    return as_complex_matrix(op)
 
 
 class _Blocks(NamedTuple):
@@ -426,18 +427,16 @@ def graph_norm(d: OperatorLike, xi: np.ndarray) -> float:
     return float(np.linalg.norm(xi) + np.linalg.norm(_apply(d, xi)))
 
 
-def _kernel_eigenvectors(op: OperatorLike, tol: float = None, gap: float = None):
+def _kernel_eigenvectors(op: OperatorLike, gap: float = None):
     """Per block, the eigenvectors of a Hermitian operator with eigenvalue in
-    (-tol, tol), returned with the operator's view.
+    (-tol, tol), tol = 1e-9 * max(1, norm(op)), returned with the operator's
+    view.
 
-    tol defaults to 1e-9 * max(1, norm(op)).  When a gap is supplied, any
-    eigenvalue with tol <= |lambda| < gap raises: an eigenvalue inside the
-    forbidden annulus means the kernel cannot be classified reliably.
+    When a gap is supplied, any eigenvalue with tol <= |lambda| < gap
+    raises: an eigenvalue inside the forbidden annulus means the kernel
+    cannot be classified reliably.
     """
-    if tol is None:
-        tol = 1e-9 * max(1.0, op_norm(op))
-    if tol <= 0:
-        raise PreconditionError("kernel tolerance must be positive")
+    tol = 1e-9 * max(1.0, op_norm(op))
     if gap is not None and gap <= tol:
         raise PreconditionError("gap must exceed the kernel tolerance")
     v = _view(op)
@@ -590,9 +589,9 @@ class SpectralTripleModel:
         if operator_dim(self.grading) != self.hilbert_dim:
             raise PreconditionError("grading dimension mismatch")
         gd = _dense(self.grading)
-        scale = 1.0 + _max_abs(gd)
-        if _max_abs(gd - gd.conj().T) > 1e-12 * scale:
+        if not is_hermitian(gd):
             raise PreconditionError("grading is not self-adjoint")
+        scale = 1.0 + _max_abs(gd)
         if _max_abs(gd @ gd - np.eye(self.hilbert_dim)) > 1e-12 * scale:
             raise PreconditionError("grading is not unitary")
         dd = _dense(self.dirac)

@@ -73,7 +73,6 @@ class StateFunctional:
     semidefinite Hermitian matrix of unit trace on the Hilbert space."""
 
     density: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         rho = np.asarray(self.density, dtype=complex)
@@ -105,17 +104,16 @@ class StateFunctional:
         return complex(np.trace(self.density @ mat))
 
 
-def pure_state(dim: int, index: int, label: str = "") -> StateFunctional:
+def pure_state(dim: int, index: int) -> StateFunctional:
     """Coordinate rank-one state e_i e_i*."""
     if not (0 <= index < dim):
         raise PreconditionError("state index out of range")
     rho = np.zeros((dim, dim), dtype=complex)
     rho[index, index] = 1.0
-    return StateFunctional(rho, label or f"e{index}")
+    return StateFunctional(rho)
 
 
-def vertex_state(model: SpectralTripleModel, vertex: int,
-                 label: str = "") -> StateFunctional:
+def vertex_state(model: SpectralTripleModel, vertex: int) -> StateFunctional:
     """The pure state of a graph model sitting at one vertex.  On the
     edge-doubled Hilbert space a vertex occupies several slots; any convex
     weighting of them induces the same functional on the vertex algebra,
@@ -130,15 +128,14 @@ def vertex_state(model: SpectralTripleModel, vertex: int,
     rho = np.zeros((model.hilbert_dim,) * 2, dtype=complex)
     for s in slots:
         rho[s, s] = 1.0 / len(slots)
-    return StateFunctional(rho, label or f"vertex{vertex}")
+    return StateFunctional(rho)
 
 
-def random_pure_state(dim: int, rng: np.random.Generator,
-                      label: str = "") -> StateFunctional:
+def random_pure_state(dim: int, rng: np.random.Generator) -> StateFunctional:
     """Haar-random rank-one density."""
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     x /= np.linalg.norm(x)
-    return StateFunctional(np.outer(x, x.conj()), label)
+    return StateFunctional(np.outer(x, x.conj()))
 
 
 # -------------------------------------------------------------- shared math
@@ -598,8 +595,6 @@ def _oracles(span: _HermitianSpan, directions: np.ndarray, deltas: np.ndarray,
     The scan directions are drawn once and each one's seminorm solved once
     for all deltas; then every delta's best three scan directions are
     polished by Nelder-Mead, all in one lockstep."""
-    if resolution < 1:
-        raise PreconditionError("resolution must be positive")
     n_red = directions.shape[1]
     if n_red == 0:
         return [OracleResult(0.0, 0.0, 0) for _ in deltas]
@@ -634,14 +629,14 @@ def _oracles(span: _HermitianSpan, directions: np.ndarray, deltas: np.ndarray,
 
 
 def distance_bruteforce_oracle(model: SpectralTripleModel, phi: StateFunctional,
-                               psi: StateFunctional, resolution: int = 48,
+                               psi: StateFunctional,
                                seed: int = ORACLE_SEED) -> OracleResult:
     """Independent low-dimensional check of the state distance.
 
     Scans directions of the gauge-reduced self-adjoint span (identity
-    removed; at most four real parameters), evaluating the scale-invariant
-    ratio objective/seminorm from first principles, then polishes the best
-    three candidates with Nelder-Mead, run step for step as
+    removed; at most four real parameters) at resolution 48, evaluating the
+    scale-invariant ratio objective/seminorm from first principles, then
+    polishes the best three candidates with Nelder-Mead, run step for step as
     ``scipy.optimize.minimize(method="Nelder-Mead")`` runs it (xatol 1e-10,
     fatol 1e-12, 4000 iterations) but with the three simplices in lockstep.
     The reported accuracy is the scatter of the polished candidates plus
@@ -658,7 +653,7 @@ def distance_bruteforce_oracle(model: SpectralTripleModel, phi: StateFunctional,
             f"dimension too large for brute force: {n_red} free parameters "
             f"after gauge fixing (cap {ORACLE_MAX_PARAMS})")
     return _oracles(span, directions, (phi.density - psi.density)[None],
-                    resolution, seed)[0]
+                    48, seed)[0]
 
 
 # ----------------------------------------------------------- quantum diameter
@@ -684,15 +679,15 @@ def _seminorm_nullity(span: _HermitianSpan) -> int:
 
 
 def quantum_diameter(model: SpectralTripleModel, samples: int = 12,
-                     seed: int = 0, iterations: int = 400,
-                     resolution: int = 32) -> DiameterReport:
+                     seed: int = 0) -> DiameterReport:
     """Diameter of the state space in the Dirac metric.
 
     Distances are convex in each state argument, so the diameter is attained
-    at pure states.  Graph models enumerate vertex states (exact transport
-    for edge-pair Diracs, oracle or ascent otherwise); models without graph
-    structure are sampled with Haar-random rank-one states and the result is
-    a lower bound.
+    at pure states.  Graph models enumerate vertex states: exact transport
+    for edge-pair Diracs, else the oracle (scan resolution 32) or, beyond
+    its parameter cap, the 400-step ascent.  Models without graph structure
+    are sampled with `samples` pairs of Haar-random rank-one states drawn
+    from `seed`, and the result is a lower bound.
     """
     check_dense_limit(model)
     span = _HermitianSpan(model)
@@ -719,10 +714,10 @@ def quantum_diameter(model: SpectralTripleModel, samples: int = 12,
             deltas = np.array([states[i].density - states[j].density
                                for i, j in pairs])
             values = [r.value for r in _oracles(span, directions, deltas,
-                                                resolution, ORACLE_SEED)]
+                                                32, ORACLE_SEED)]
         else:
             values = [connes_distance(model, states[i], states[j],
-                                      iterations=iterations).value
+                                      iterations=400).value
                       for i, j in pairs]
         best, pair = 0.0, (0, 0)
         for d, ij in zip(values, pairs):
@@ -736,9 +731,9 @@ def quantum_diameter(model: SpectralTripleModel, samples: int = 12,
     rng = np.random.default_rng(seed)
     best, pair = 0.0, None
     for s in range(samples):
-        a = random_pure_state(model.hilbert_dim, rng, f"sample{s}a")
-        b = random_pure_state(model.hilbert_dim, rng, f"sample{s}b")
-        d = connes_distance(model, a, b, iterations=iterations,
+        a = random_pure_state(model.hilbert_dim, rng)
+        b = random_pure_state(model.hilbert_dim, rng)
+        d = connes_distance(model, a, b, iterations=400,
                             seed=seed + s).value
         if d > best:
             best, pair = d, (a, b)

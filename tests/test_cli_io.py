@@ -105,6 +105,16 @@ def test_atomic_write(tmp_path):
     assert list(tmp_path.iterdir()) == [target]   # no temp litter
 
 
+def test_out_onto_a_directory_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["build", "--model", _fixture("two_point"),
+                 "--out", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [out] and not any(out.iterdir())
+
+
 # ------------------------------------------------------------- model loading
 
 def test_load_fixture_dimensions():
@@ -345,6 +355,11 @@ MALFORMED_SPECS = {
         "base_eigenvalues": [1.0], "fiber_length_scale": 1.0, "k_min": -1.5, "k_max": 1}),
     "boolean_weight": ("cycle_adjacency", {"n": 4, "weight": True}),
     "negative_seed": ("graph", {"edges": [[0, 1, 2.0]]}, -5),
+    "boolean_endpoints": ("graph", {"edges": [[True, False, 1.0]]}),
+    "boolean_edge_weight": ("graph", {"edges": [[0, 1, True]]}),
+    "boolean_matrix_entry": ("torus", {"g_base": 1, "g_fiber": 1,
+                                       "theta": [[0.0, [False, 0.0]], [0.0, 0.0]],
+                                       "cutoff": 1}),
 }
 
 
@@ -361,18 +376,24 @@ MALFORMED_SPECS = {
     (["build", "--model", "{tmp}/fractional_k_min.json"], EXIT_PARSE),
     (["build", "--model", "{tmp}/boolean_weight.json"], EXIT_PARSE),
     (["build", "--model", "{tmp}/negative_seed.json"], EXIT_PARSE),
+    (["build", "--model", "{tmp}/boolean_endpoints.json"], EXIT_PARSE),
+    (["build", "--model", "{tmp}/boolean_edge_weight.json"], EXIT_PARSE),
+    (["build", "--model", "{tmp}/boolean_matrix_entry.json"], EXIT_PARSE),
+    (["build", "--model", "{tmp}/not_utf8.json"], EXIT_PARSE),
     (["audit", "--model", "{circle_bundle}", "--seed", "-5"], EXIT_PARSE),
     (["distance", "--model", "{path3}", "--states", "vertex:0,vertex:2", "--oracle",
       "--seed", "-5"], EXIT_PARSE),
 ], ids=["eps-not-a-number", "g_base-not-a-number", "vertex-out-of-range",
         "out-dir-missing", "density-file-missing", "negative-edge-endpoint",
         "inner-params-not-an-object", "int-given-a-fraction", "float-given-a-boolean",
-        "negative-seed-in-file", "negative-seed-flag-audit",
+        "negative-seed-in-file", "boolean-edge-endpoints", "boolean-edge-weight",
+        "boolean-matrix-entry", "model-file-not-utf8", "negative-seed-flag-audit",
         "negative-seed-flag-oracle"])
 def test_malformed_input_exit_codes(argv, code, tmp_path, capsys):
     for name, (builder, params, *seed) in MALFORMED_SPECS.items():
         spec = ModelSpecFile(1, builder, params, seed[0] if seed else 0)
         (tmp_path / f"{name}.json").write_text(spec.emit())
+    (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe\x00")
     argv = [a.format(two_point=_fixture("two_point"), circle_bundle=_fixture("circle_bundle"),
                      path3=_fixture("path3"), tmp=tmp_path) for a in argv]
     try:

@@ -110,18 +110,21 @@ def test_kernel_projection_empty_kernel():
     assert projector_rank(p) == 0
 
 
-def test_kernel_projection_annulus_guard():
+def test_kernel_eigenvectors_annulus_guard():
+    d_v = np.diag([0.0, 0.5]).astype(complex)
     with pytest.raises(PreconditionError, match="annulus"):
-        kernel_projection(np.diag([0.0, 0.5]).astype(complex), gap=1.0)
+        core._kernel_eigenvectors(d_v, gap=1.0)
     # the same eigenvalue is fine when the claimed gap sits below it
-    p = kernel_projection(np.diag([0.0, 0.5]).astype(complex), gap=0.4)
-    assert projector_rank(p) == 1
+    _, kept = core._kernel_eigenvectors(d_v, gap=0.4)
+    assert [k.shape[1] for k in kept] == [1]
 
 
 def test_kernel_projection_torus_rank_and_commutation():
     t = build_torus_triple(1, 1, np.zeros((2, 2)), 2)
-    p = kernel_projection(t.d_v, gap=t.vertical_gap)
+    p = kernel_projection(t.d_v)
     assert projector_rank(p) == 10   # spin 2 x five zero-fiber modes
+    _, kept = core._kernel_eigenvectors(t.d_v, gap=t.vertical_gap)   # clean gap
+    assert sum(k.shape[1] for k in kept) == 10
     assert op_norm(commutator(p, _raw(t.d_v))) <= 1e-10
     m = np.asarray(p) if not hasattr(p, "to_dense") else p.to_dense()
     assert np.allclose(m, m.conj().T, atol=1e-12)
@@ -523,6 +526,6 @@ def test_one_block_form_matches_dense(fixture):
         assert projection_commutator_norm(mask, b) == projection_commutator_norm(mask, m)
     for m in (dec.d_h, dec.d_v):
         assert np.array_equal(hermitian_spectrum(one_block(m)), hermitian_spectrum(m))
-    p = kernel_projection(one_block(dec.d_v), gap=dec.vertical_gap)
+    p = kernel_projection(one_block(dec.d_v))
     assert isinstance(p, BlockDiagonalOperator)
-    assert np.array_equal(p.to_dense(), kernel_projection(dec.d_v, gap=dec.vertical_gap))
+    assert np.array_equal(p.to_dense(), kernel_projection(dec.d_v))

@@ -11,6 +11,7 @@ import pytest
 
 from collapselab.builders import (
     CliffordSet,
+    DecomposedTripleModel,
     build_circle_bundle_blocks,
     build_crossed_product_model,
     build_product_triple,
@@ -27,6 +28,7 @@ from collapselab.core import (
     op_norm,
 )
 from collapselab.estimates import (
+    AUDIT_EPS,
     bump_function,
     comparison_check,
     expectation_lipschitz_check,
@@ -342,10 +344,28 @@ def test_audit_input_contracts():
     t = build_torus_triple(0, 1, np.zeros((1, 1)), 1)
     with pytest.raises(PreconditionError):
         hypothesis_audit(t, samples=0)
-    with pytest.raises(PreconditionError):
-        hypothesis_audit(t, eps_list=(1.0, -0.5), samples=5)
-    with pytest.raises(PreconditionError, match="eps values must be positive"):
-        hypothesis_audit(t, eps_list=(1.0, math.nan), samples=5)
+
+
+def test_audit_names_d_h_when_it_couples_the_kernel_to_the_rest():
+    # the kernel of d_v is slot 0 and the diagonal base commutes with its
+    # projection p, but d_h couples slot 0 to slot 1: |[p, d_h]| = 1
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    d_v = np.diag([0.0, 2.0]).astype(complex)
+    total = SpectralTripleModel(
+        hilbert_dim=2,
+        algebra_basis=(np.eye(2, dtype=complex), np.diag([1.0, 2.0]).astype(complex)),
+        dirac=HermitianOperator(2, sx + d_v),
+        identity_coefficients=np.array([1.0, 0.0], dtype=complex))
+    dec = DecomposedTripleModel(
+        total=total, d_h=sx, d_v=d_v,
+        base_coefficients=np.eye(2, dtype=complex),
+        expectation_matrix=np.eye(2, dtype=complex), sector_labels=None,
+        group_dim=1, group_diameter=math.pi / 2.0, vertical_gap=2.0,
+        comparison_constant=1.0)
+    h4 = hypothesis_audit(dec, samples=5).verdicts[3]
+    assert h4.name == "hypothesis_4_projection_compatibility"
+    assert (h4.passed, h4.witness) == (False, "[p, d_h]")
+    assert h4.worst_margin == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sample_self_adjoint_is_hermitian_and_seeded():
@@ -362,11 +382,13 @@ def test_audit_samples_vertical_commutator_when_base_is_not_the_algebra():
     # fiber monomials do not, so the audit must form [d_v, a] per sample
     t = build_torus_triple(1, 1, np.zeros((2, 2)), 3)
     assert all(c == 0.0 for c in t.vertical_defects())
-    rep = hypothesis_audit(t, eps_list=(1.0,), samples=1, seed=5)
+    rep = hypothesis_audit(t, samples=1, seed=5)
     rng = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
     a = sample_self_adjoint(t.total, rng)
     ch, cv = commutator(t.d_h, a.matrix), commutator(t.d_v, a.matrix)
     v_norm = op_norm(cv)
     assert v_norm > 1.0
-    expected = v_norm - t.comparison_constant * op_norm(ch + cv)
+    assert rep.eps_list == AUDIT_EPS == (1.0, 0.5, 0.25)
+    expected = max(v_norm - t.comparison_constant * eps * op_norm(ch + cv / eps)
+                   for eps in AUDIT_EPS)
     assert rep.verdicts[1].worst_margin == pytest.approx(expected, abs=1e-9)

@@ -389,9 +389,6 @@ def test_oracle_seeded_determinism():
 
 def test_oracle_input_validation():
     m = build_two_point_model(1.0)
-    with pytest.raises(PreconditionError, match="resolution"):
-        distance_bruteforce_oracle(m, vertex_state(m, 0), vertex_state(m, 1),
-                                   resolution=0)
     with pytest.raises(PreconditionError, match="dimension"):
         distance_bruteforce_oracle(m, pure_state(4, 0), pure_state(4, 1))
 
@@ -550,8 +547,8 @@ def test_lockstep_nelder_mead_matches_scipy_on_an_infinite_objective():
     starts = np.array([[0.6, -0.8], [0.3, 0.1]])
     _assert_lockstep_matches_scipy(span, directions, deltas, starts,
                                    np.array([0, 1]))
-    assert distance_bruteforce_oracle(model, pure_state(3, 0), pure_state(3, 2),
-                                      resolution=5).value == math.inf
+    assert qmetric._oracles(span, directions, deltas[:1], 5,
+                            qmetric.ORACLE_SEED)[0].value == math.inf
 
 
 def test_stacked_rows_score_as_alone():
@@ -697,6 +694,25 @@ def test_point_collapse_expectation_freezes_the_state():
     e1 = np.zeros(4, dtype=complex)
     e1[1] = 1.0
     assert np.max(np.abs(dec.expectation_matrix @ e1)) <= 1e-12
+
+
+def test_point_collapse_rotates_the_grading():
+    # the grading diag(1, -1, 1) anticommutes with a Dirac coupling slots 0
+    # and 1 only, so the kernel is slot 2, of grading +1
+    dirac = np.zeros((3, 3), dtype=complex)
+    dirac[0, 1] = dirac[1, 0] = 1.0
+    graded = SpectralTripleModel(
+        3, (np.eye(3, dtype=complex), np.diag([1.0, 0.0, 0.0]).astype(complex)),
+        HermitianOperator(3, dirac), "graded",
+        grading=np.diag([1.0, -1.0, 1.0]).astype(complex),
+        identity_coefficients=np.array([1.0, 0.0], dtype=complex))
+    dec = build_point_collapse(graded, pure_state(3, 2))
+    g = np.asarray(dec.total.grading)
+    assert np.allclose(np.linalg.eigvalsh(g), [-1.0, 1.0, 1.0], atol=1e-12)
+    d = np.asarray(dec.d_v)
+    assert np.max(np.abs(g @ d + d @ g)) <= 1e-12
+    (k,) = dec.kernel_indices()
+    assert g[k, k] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_point_collapse_requires_a_kernel():
