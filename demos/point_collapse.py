@@ -10,7 +10,7 @@ import numpy as np
 from collapselab.builders import (build_cycle_adjacency_model,
                                   build_point_collapse,
                                   build_two_point_model)
-from collapselab.collapse import kernel_projection, projector_rank, rescale
+from collapselab.collapse import kernel_projection, projector_rank
 from collapselab.qmetric import quantum_diameter, vertex_state
 
 c4 = build_cycle_adjacency_model(4)
@@ -28,7 +28,7 @@ print()
 # stays pinned at zero.
 print(" eps      spectrum of D_h + D_v/eps")
 for eps in (1.0, 0.25, 1 / 16, 1 / 64):
-    vals = np.linalg.eigvalsh(rescale(dec, eps).matrix)
+    vals = np.linalg.eigvalsh(dec.dirac_at(eps))
     inside = np.sum(np.abs(vals) <= 1.0)
     print(f" {eps:<8.4g} {np.round(vals, 6)}   ({inside} inside [-1, 1])")
 print()

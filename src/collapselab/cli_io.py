@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,7 +34,7 @@ from .builders import (
     build_product_triple,
     build_torus_triple,
 )
-from .collapse import WindowError, rescale, sweep
+from .collapse import WindowError, sweep
 from .estimates import hypothesis_audit
 from .qmetric import (
     StateFunctional,
@@ -100,11 +100,22 @@ def _jsonable(obj):
     return obj
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: booleans, which Python counts as ints, and integral
+    floats such as 1.0 are not.  Seeds, edge endpoints and schema_version
+    are read this strictly; builder parameters go through _number."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _scalar_from_json(entry) -> complex:
-    """A number or [re, im]; booleans, which Python counts as ints, are not."""
+    """A number or [re, im]; booleans, which Python counts as ints, are not,
+    and neither is an integer too large for a float."""
     parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry]
-    if all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
-        return complex(*parts)
+    if all(_is_int(p) or isinstance(p, float) for p in parts):
+        try:
+            return complex(*parts)
+        except OverflowError:
+            pass
     raise SchemaError(f"matrix entry must be a number or [re, im]: {entry!r}")
 
 
@@ -148,6 +159,11 @@ def _emit(path: Optional[str], text: str) -> None:
         _write_text(path, text)
 
 
+def _json_text(doc) -> str:
+    """An artifact document as sorted, indented JSON with a final newline."""
+    return json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
+
+
 # ------------------------------------------------------------- model files
 
 @dataclass(frozen=True)
@@ -160,19 +176,16 @@ class ModelSpecFile:
     seed: int
 
     def emit(self) -> str:
-        doc = {
-            "schema_version": self.schema_version,
-            "builder": self.builder,
-            "params": self.params,
-            "seed": self.seed,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def parse_model_spec(text: str) -> ModelSpecFile:
+    """The model document in text, or SchemaError: exactly the four fields,
+    schema_version the integer SCHEMA_VERSION, a known builder, params an
+    object and a non-negative integer seed."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:      # an integer past Python's digit limit too
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("model document must be a JSON object")
@@ -183,22 +196,27 @@ def parse_model_spec(text: str) -> ModelSpecFile:
     extra = doc.keys() - required
     if extra:
         raise SchemaError(f"unknown fields: {sorted(extra)}")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    version = doc["schema_version"]
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise SchemaError(
-            f"schema_version {doc['schema_version']!r} unsupported "
-            f"(expected {SCHEMA_VERSION})")
-    if doc["builder"] not in BUILDER_NAMES:
-        raise SchemaError(f"unknown builder {doc['builder']!r}")
-    if not isinstance(doc["params"], dict):
+            f"schema_version {version!r} unsupported (expected {SCHEMA_VERSION})")
+    return _spec(doc["builder"], doc["params"], doc["seed"], "")
+
+
+def _spec(builder, params, seed, where: str) -> ModelSpecFile:
+    """A spec at SCHEMA_VERSION, checked in this order: the builder is
+    known, params is an object, the seed is a run seed.  where names a
+    nested spec in the unknown-builder message."""
+    if builder not in BUILDER_NAMES:
+        raise SchemaError(f"unknown builder {builder!r}{where}")
+    if not isinstance(params, dict):
         raise SchemaError("params must be an object")
-    return ModelSpecFile(schema_version=int(doc["schema_version"]),
-                         builder=doc["builder"], params=doc["params"],
-                         seed=_seed(doc["seed"], "seed"))
+    return ModelSpecFile(SCHEMA_VERSION, builder, params, _seed(seed, "seed"))
 
 
 def _seed(value, name: str) -> int:
     """A run seed: numpy's seeding accepts only non-negative integers."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+    if not _is_int(value) or value < 0:
         raise SchemaError(f"{name} must be a non-negative integer, got {value!r}")
     return value
 
@@ -259,6 +277,7 @@ def _inline_triple(obj, name: str) -> SpectralTripleModel:
 
 
 def _edges_from_json(obj) -> list:
+    """[i, j, weight] triples: integer endpoints, a number or [re, im] weight."""
     if not isinstance(obj, list) or not obj:
         raise SchemaError("edges must be a nonempty list of [i, j, weight]")
     edges = []
@@ -266,27 +285,56 @@ def _edges_from_json(obj) -> list:
         if not isinstance(entry, list) or len(entry) != 3:
             raise SchemaError(f"edge must be [i, j, weight]: {entry!r}")
         i, j, w = entry
-        if not all(isinstance(k, int) and not isinstance(k, bool) for k in (i, j)):
+        if not (_is_int(i) and _is_int(j)):
             raise SchemaError(f"edge endpoints must be integers: {entry!r}")
         edges.append((i, j, _scalar_from_json(w)))
     return edges
 
 
+def _state(model: SpectralTripleModel, kind: str, value, name: str) -> StateFunctional:
+    """The state of one kind: "vertex" and "pure" take an index, "density"
+    the rows of a matrix.  name labels value in error messages."""
+    if kind == "vertex":
+        return vertex_state(model, _number(value, int, name))
+    if kind == "pure":
+        return pure_state(model.hilbert_dim, _number(value, int, name))
+    return StateFunctional(_matrix_from_json(value, name))
+
+
 def _state_from_json(model: SpectralTripleModel, obj) -> StateFunctional:
-    if isinstance(obj, dict) and "vertex" in obj:
-        return vertex_state(model, _number(obj["vertex"], int, "vertex"))
-    if isinstance(obj, dict) and "pure_index" in obj:
-        return pure_state(model.hilbert_dim, _number(obj["pure_index"], int, "pure_index"))
-    if isinstance(obj, dict) and "density" in obj:
-        return StateFunctional(_matrix_from_json(obj["density"], "state.density"))
-    raise SchemaError(
-        "state must carry one of: vertex, pure_index, density")
+    """A model file's state: {"vertex": i}, {"pure_index": i} or
+    {"density": rows}; the first key present, in that order, counts."""
+    for kind, key, name in (("vertex", "vertex", "vertex"),
+                            ("pure", "pure_index", "pure_index"),
+                            ("density", "density", "state.density")):
+        if isinstance(obj, dict) and key in obj:
+            return _state(model, kind, obj[key], name)
+    raise SchemaError("state must carry one of: vertex, pure_index, density")
+
+
+def _state_from_token(model: SpectralTripleModel, token: str) -> StateFunctional:
+    """A --states token: vertex:<i>, pure:<i> or density:<file>, the file
+    holding the density's rows as JSON."""
+    kind, _, arg = token.partition(":")
+    if kind not in ("vertex", "pure", "density") or not arg:
+        raise SchemaError(
+            f"bad state {token!r}: use vertex:<i>, pure:<i>, or density:<file>")
+    if kind == "density":
+        try:
+            with open(arg, "r") as handle:
+                arg = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise SchemaError(f"cannot read density file {arg!r}: {exc}") from exc
+    return _state(model, kind, arg, kind)
 
 
 def _build_from_spec(spec: ModelSpecFile):
-    """Instantiate the named builder.  Parameter-name errors are schema
-    errors; value errors surface as PreconditionError from the builders."""
+    """Instantiate the named builder, one of BUILDER_NAMES (_spec checks
+    it).  Parameter-name errors are schema errors; value errors surface as
+    PreconditionError from the builders.  Every builder takes the optional
+    label parameter."""
     p = spec.params
+    label = str(_param(p, "label", required=False, default=""))
     if spec.builder == "torus":
         return build_torus_triple(
             g_base=_num(p, "g_base", int),
@@ -297,20 +345,17 @@ def _build_from_spec(spec: ModelSpecFile):
             monomial_cap=_num(p, "monomial_cap", int, required=False, default=1),
             materialize=str(_param(p, "materialize", required=False,
                                    default="auto")),
-            label=str(_param(p, "label", required=False, default="")))
+            label=label)
     if spec.builder == "circle_bundle":
         family = build_circle_bundle_blocks(
             base_eigenvalues=_floats(p, "base_eigenvalues"),
             fiber_length_scale=_num(p, "fiber_length_scale", float),
             k_min=_num(p, "k_min", int), k_max=_num(p, "k_max", int))
-        return family.as_decomposition(
-            label=str(_param(p, "label", required=False, default="")))
+        return family.as_decomposition(label=label)
     if spec.builder == "product":
         even = _inline_triple(_param(p, "even"), "even")
         vertical = _matrix_from_json(_param(p, "vertical"), "vertical")
-        return build_product_triple(
-            even, vertical,
-            label=str(_param(p, "label", required=False, default="")))
+        return build_product_triple(even, vertical, label=label)
     if spec.builder == "crossed_product":
         base = _inline_triple(_param(p, "base"), "base")
         phases = _param(p, "phases", required=False)
@@ -321,38 +366,28 @@ def _build_from_spec(spec: ModelSpecFile):
             phases=phases,
             vertical_defect=_num(p, "vertical_defect", float,
                                  required=False, default=0.0),
-            label=str(_param(p, "label", required=False, default="")))
+            label=label)
     if spec.builder == "point_collapse":
         inner_obj = _param(p, "model")
         if not isinstance(inner_obj, dict):
             raise SchemaError("point_collapse model must be an object")
-        inner_spec = ModelSpecFile(
-            schema_version=SCHEMA_VERSION,
-            builder=str(inner_obj.get("builder", "")),
-            params=inner_obj.get("params", {}), seed=spec.seed)
-        if inner_spec.builder not in BUILDER_NAMES:
-            raise SchemaError(
-                f"unknown builder {inner_spec.builder!r} for point_collapse model")
-        if not isinstance(inner_spec.params, dict):
-            raise SchemaError("params must be an object")
-        inner = _build_from_spec(inner_spec)
+        inner = _build_from_spec(_spec(
+            str(inner_obj.get("builder", "")), inner_obj.get("params", {}),
+            spec.seed, " for point_collapse model"))
         if not isinstance(inner, SpectralTripleModel):
             raise SchemaError("point_collapse model must be a plain triple")
         state = _state_from_json(inner, _param(p, "state"))
-        return build_point_collapse(
-            inner, state,
-            label=str(_param(p, "label", required=False, default="")))
+        return build_point_collapse(inner, state, label=label)
     if spec.builder == "graph":
         return build_graph_model(
             _edges_from_json(_param(p, "edges")),
             n_vertices=_num(p, "n_vertices", int, required=False),
-            label=str(_param(p, "label", required=False, default="")))
+            label=label)
     if spec.builder == "cycle_adjacency":
         return build_cycle_adjacency_model(
             _num(p, "n", int),
             weight=_num(p, "weight", float, required=False, default=1.0),
-            label=str(_param(p, "label", required=False, default="")))
-    raise SchemaError(f"unknown builder {spec.builder!r}")
+            label=label)
 
 
 @dataclass(frozen=True)
@@ -428,13 +463,8 @@ def parse_eps_grid(text: Optional[str]):
 
 # ---------------------------------------------------------------- commands
 
-def _sector_cell(label: tuple) -> str:
-    return ":".join(str(int(c)) for c in label)
-
-
-def cmd_build(args) -> int:
-    loaded = load_model(args.model)
-    seed = args.seed if args.seed is not None else loaded.spec.seed
+def cmd_build(args, loaded: LoadedModel, seed: int) -> int:
+    """The model's shape and, when decomposed, its gap, window and sectors."""
     dec = loaded.decomposition
     info = {
         "metadata": _metadata(loaded, seed),
@@ -447,45 +477,42 @@ def cmd_build(args) -> int:
         info["group_diameter"] = dec.group_diameter
         info["reliable_window"] = dec.reliable_window
         info["sector_count"] = len(dec.sectors()[1])
-    text = json.dumps(_jsonable(info), indent=2, sort_keys=True) + "\n"
-    _emit(args.out, text)
+    _emit(args.out, _json_text(info))
     if args.out is not None:
         print(f"model {loaded.model.label}: dim {loaded.model.hilbert_dim}, "
               f"report {args.out}")
     return EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
-    loaded = load_model(args.model)
-    eps = args.eps
-    if loaded.decomposition is not None:
-        op = rescale(loaded.decomposition, eps)
-    else:
-        if eps != 1.0:
-            raise PreconditionError(
-                "eps rescaling requires a decomposed model")
-        op = loaded.model.dirac
-    values = hermitian_spectrum(op)
-    lines = ["index,eigenvalue"]
-    for i, v in enumerate(values):
-        lines.append(f"{i},{_fmt(v)}")
-    _emit(args.out, "\n".join(lines) + "\n")
+def cmd_spectrum(args, loaded: LoadedModel, seed: int) -> int:
+    """Eigenvalues of d_h + d_v / eps; a model without a decomposition has
+    only eps = 1, its own Dirac."""
+    dec = loaded.decomposition
+    if dec is None and args.eps != 1.0:
+        raise PreconditionError("eps rescaling requires a decomposed model")
+    op = loaded.model.dirac if dec is None else dec.dirac_at(args.eps)
+    rows = [f"{i},{_fmt(v)}" for i, v in enumerate(hermitian_spectrum(op))]
+    _emit(args.out, "\n".join(["index,eigenvalue"] + rows) + "\n")
     return EXIT_OK
 
 
 def _sweep_rows(result) -> str:
+    """The sweep table: one row per eps and sector track."""
     lines = ["eps,sector,track_index,eigenvalue"]
     keys = sorted(result.sector_tracks.keys())
     for i, eps in enumerate(result.eps_grid):
         eps_cell = _fmt(eps)
         for label, j in keys:
             value = result.sector_tracks[(label, j)][i]
-            lines.append(f"{eps_cell},{_sector_cell(label)},{j},{_fmt(value)}")
+            sector = ":".join(str(int(c)) for c in label)
+            lines.append(f"{eps_cell},{sector},{j},{_fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
-def _sweep_summary(loaded: LoadedModel, seed: int, result) -> str:
-    doc = {
+def _sweep_doc(loaded: LoadedModel, seed: int, result) -> dict:
+    """The sweep summary: sweep writes it next to its table, report
+    bundles it."""
+    return {
         "metadata": _metadata(loaded, seed),
         "window": result.window,
         "tracking_method": result.tracking_method,
@@ -501,7 +528,6 @@ def _sweep_summary(loaded: LoadedModel, seed: int, result) -> str:
             "infinite_sentinel": "inf",
         },
     }
-    return json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
 
 
 def _summary_path(out: str) -> str:
@@ -509,49 +535,29 @@ def _summary_path(out: str) -> str:
     return (root if ext else out) + ".summary.json"
 
 
-def cmd_sweep(args) -> int:
-    loaded = load_model(args.model)
+def cmd_sweep(args, loaded: LoadedModel, seed: int) -> int:
+    """The sweep table, and with --out its summary next to it."""
     dec = _require_decomposition(loaded)
-    seed = args.seed if args.seed is not None else loaded.spec.seed
-    grid = parse_eps_grid(args.eps_grid)
-    window = float(args.window) if args.window is not None else None
-    result = sweep(dec, eps_grid=grid, window=window)
+    result = sweep(dec, eps_grid=parse_eps_grid(args.eps_grid), window=args.window)
     _emit(args.out, _sweep_rows(result))
     if args.out is not None:
         _write_text(_summary_path(args.out),
-                    _sweep_summary(loaded, seed, result))
+                    _json_text(_sweep_doc(loaded, seed, result)))
         final = result.hausdorff_curve[-1]
         print(f"sweep {loaded.model.label}: {len(result.eps_grid)} eps values, "
               f"final windowed hausdorff {_fmt(final)}")
     return EXIT_OK
 
 
-def cmd_distance(args) -> int:
-    loaded = load_model(args.model)
+def cmd_distance(args, loaded: LoadedModel, seed: int) -> int:
+    """The distance between the two --states, by transport or ascent, or
+    by the oracle."""
     model = loaded.model
-    seed = args.seed if args.seed is not None else loaded.spec.seed
     tokens = [t.strip() for t in args.states.split(",") if t.strip()]
     if len(tokens) != 2:
         raise SchemaError("--states needs exactly two comma-separated entries")
-
-    def parse_state(token: str) -> StateFunctional:
-        kind, _, arg = token.partition(":")
-        if kind == "vertex" and arg:
-            return vertex_state(model, _number(arg, int, "vertex"))
-        if kind == "pure" and arg:
-            return pure_state(model.hilbert_dim, _number(arg, int, "pure"))
-        if kind == "density" and arg:
-            try:
-                with open(arg, "r") as handle:
-                    doc = json.load(handle)
-            except (OSError, ValueError) as exc:
-                raise SchemaError(f"cannot read density file {arg!r}: {exc}") from exc
-            return StateFunctional(_matrix_from_json(doc, "density"))
-        raise SchemaError(
-            f"bad state {token!r}: use vertex:<i>, pure:<i>, or density:<file>")
-
     check_dense_limit(model)   # before any dense state is built
-    phi, psi = parse_state(tokens[0]), parse_state(tokens[1])
+    phi, psi = (_state_from_token(model, t) for t in tokens)
     lines = ["phi,psi,value,method,converged,tolerance"]
     if args.oracle:
         res = distance_bruteforce_oracle(model, phi, psi, seed=seed)
@@ -569,32 +575,24 @@ def cmd_distance(args) -> int:
 
 
 def _audit_doc(loaded: LoadedModel, report, seed: int) -> dict:
+    """The audit document: audit writes it, report bundles it."""
     return {
         "metadata": _metadata(loaded, seed),
         "eps_list": list(report.eps_list),
         "samples": report.samples,
         "all_passed": report.all_passed,
-        "verdicts": [
-            {
-                "name": v.name,
-                "passed": v.passed,
-                "worst_margin": v.worst_margin,
-                "witness": v.witness,
-            }
-            for v in report.verdicts
-        ],
+        "verdicts": [{"name": v.name, "passed": v.passed,
+                      "worst_margin": v.worst_margin, "witness": v.witness}
+                     for v in report.verdicts],
         "tolerance_context": {"margin_pass": 1e-9, "float_format": ".17g"},
     }
 
 
-def cmd_audit(args) -> int:
-    loaded = load_model(args.model)
+def cmd_audit(args, loaded: LoadedModel, seed: int) -> int:
+    """The six-hypothesis audit; exit 5 when a hypothesis fails."""
     dec = _require_decomposition(loaded)
-    seed = args.seed if args.seed is not None else loaded.spec.seed
     report = hypothesis_audit(dec, samples=args.samples, seed=seed)
-    text = json.dumps(_jsonable(_audit_doc(loaded, report, seed)),
-                      indent=2, sort_keys=True) + "\n"
-    _emit(args.out, text)
+    _emit(args.out, _json_text(_audit_doc(loaded, report, seed)))
     if args.out is not None:
         for v in report.verdicts:
             state = "pass" if v.passed else "FAIL"
@@ -602,30 +600,25 @@ def cmd_audit(args) -> int:
     return EXIT_OK if report.all_passed else EXIT_AUDIT
 
 
-def cmd_report(args) -> int:
-    loaded = load_model(args.model)
-    seed = args.seed if args.seed is not None else loaded.spec.seed
+def cmd_report(args, loaded: LoadedModel, seed: int) -> int:
+    """Shape plus sweep summary and audit, or the spectrum of a model
+    without a decomposition; exit 5 when the audit fails."""
     bundle = {
         "metadata": _metadata(loaded, seed),
         "hilbert_dim": loaded.model.hilbert_dim,
         "algebra_dim": len(loaded.model.algebra_basis),
     }
     exit_code = EXIT_OK
-    if loaded.decomposition is not None:
-        dec = loaded.decomposition
-        grid = parse_eps_grid(args.eps_grid)
-        window = float(args.window) if args.window is not None else None
-        result = sweep(dec, eps_grid=grid, window=window)
-        bundle["sweep"] = json.loads(_sweep_summary(loaded, seed, result))
+    dec = loaded.decomposition
+    if dec is not None:
+        result = sweep(dec, eps_grid=parse_eps_grid(args.eps_grid), window=args.window)
+        bundle["sweep"] = _sweep_doc(loaded, seed, result)
         report = hypothesis_audit(dec, samples=args.samples, seed=seed)
         bundle["audit"] = _audit_doc(loaded, report, seed)
-        if not report.all_passed:
-            exit_code = EXIT_AUDIT
+        exit_code = EXIT_OK if report.all_passed else EXIT_AUDIT
     else:
-        values = hermitian_spectrum(loaded.model.dirac)
-        bundle["spectrum"] = list(values)
-    text = json.dumps(_jsonable(bundle), indent=2, sort_keys=True) + "\n"
-    _emit(args.out, text)
+        bundle["spectrum"] = list(hermitian_spectrum(loaded.model.dirac))
+    _emit(args.out, _json_text(bundle))
     return exit_code
 
 
@@ -683,22 +676,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: exit code of each error a command raises; the first match counts, so
+#: WindowError comes before its base PreconditionError
+ERROR_EXITS = {
+    SchemaError: EXIT_PARSE,
+    WindowError: EXIT_WINDOW,
+    PreconditionError: EXIT_PRECONDITION,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Load the --model file and run one command on it, with --seed or else
+    the file's seed; the command's exit code, or the code ERROR_EXITS gives
+    the error it raised, whose message goes to stderr."""
+    args = build_parser().parse_args(argv)
     try:
-        if args.seed is not None:
-            _seed(args.seed, "--seed")
-        return args.handler(args)
-    except SchemaError as exc:
+        seed = None if args.seed is None else _seed(args.seed, "--seed")
+        loaded = load_model(args.model)
+        return args.handler(args, loaded, loaded.spec.seed if seed is None else seed)
+    except tuple(ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except WindowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WINDOW
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return next(code for kind, code in ERROR_EXITS.items()
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

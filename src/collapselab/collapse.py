@@ -13,8 +13,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    AlgebraElement,
-    HermitianOperator,
     PreconditionError,
     SpectralTripleModel,
     _kernel_eigenvectors,
@@ -41,12 +39,6 @@ class WindowError(PreconditionError):
     """The requested spectral window exceeds what the truncation resolves."""
 
 
-def rescale(dec, eps: float) -> HermitianOperator:
-    """The rescaled Dirac operator d_h + (1/eps) d_v as a checked Hermitian
-    operator.  eps = 1 reproduces the total Dirac exactly."""
-    return HermitianOperator(dec.total.hilbert_dim, dec.dirac_at(eps))
-
-
 def kernel_projection(d_v):
     """Spectral projector onto the eigenvalues of d_v inside (-tol, tol),
     tol = 1e-9 * max(1, norm(d_v)).  The result has the same dense or block
@@ -60,11 +52,6 @@ def projector_rank(p) -> int:
     """Rank of a projector, read off the trace."""
     tr = _view(p).full.trace(axis1=1, axis2=2).sum()
     return int(round(float(tr.real)))
-
-
-def conditional_expectation(dec, a: AlgebraElement) -> AlgebraElement:
-    """Projection onto the base subalgebra (delegates to the model)."""
-    return dec.conditional_expectation(a)
 
 
 def compress_base(dec) -> SpectralTripleModel:

@@ -34,8 +34,7 @@ from .core import (
 __all__ = [
     "BumpFunction",
     "TunnelBounds",
-    "FourierCheck",
-    "ComparisonCheck",
+    "InequalityCheck",
     "ExpectationReport",
     "HypothesisVerdict",
     "AuditReport",
@@ -145,14 +144,17 @@ def tunnel_bounds(eps: float, delta: float, k: float, m: float) -> TunnelBounds:
 
 # --------------------------------------------------------- projection estimate
 
-class FourierCheck(NamedTuple):
+class InequalityCheck(NamedTuple):
+    """Both sides of an inequality lhs <= rhs, and whether it held within
+    1e-10: the result of fourier_projection_check and comparison_check."""
+
     lhs: float
     rhs: float
     passed: bool
 
 
 def fourier_projection_check(d_v, delta: float, eps: float,
-                             xi: np.ndarray) -> FourierCheck:
+                             xi: np.ndarray) -> InequalityCheck:
     """Check  |xi - p xi| <= 4*sqrt(2*eps/delta) * (|xi| + |(1/eps) d_v xi|)
     for the kernel projection p of d_v.  Requires the gap (-delta, delta)
     around 0 to be clean."""
@@ -168,19 +170,13 @@ def fourier_projection_check(d_v, delta: float, eps: float,
     lhs = float(np.linalg.norm(xi - pxi))
     rhs = 4.0 * math.sqrt(2.0 * eps / delta) * float(
         np.linalg.norm(xi) + np.linalg.norm(_apply(d_v, xi)) / eps)
-    return FourierCheck(lhs, rhs, lhs <= rhs + 1e-10)
+    return InequalityCheck(lhs, rhs, lhs <= rhs + 1e-10)
 
 
 # ----------------------------------------------------- direction comparison
 
-class ComparisonCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    passed: bool
-
-
 def comparison_check(cliff, components: Sequence, a, F: Iterable[int],
-                     validate: bool = True) -> ComparisonCheck:
+                     validate: bool = True) -> InequalityCheck:
     """Check  |[sum_{j in F} D_j g_j, a]| <= sqrt(|F|) * |[D, a]|  where
     D = sum over all j of D_j g_j and g_j are the Clifford generators.
 
@@ -218,7 +214,7 @@ def comparison_check(cliff, components: Sequence, a, F: Iterable[int],
     partial = sum(comps[j] @ gammas[j] for j in subset)
     lhs = op_norm(commutator(partial, amat))
     rhs = math.sqrt(len(subset)) * op_norm(commutator(total, amat))
-    return ComparisonCheck(lhs, rhs, lhs <= rhs + 1e-10)
+    return InequalityCheck(lhs, rhs, lhs <= rhs + 1e-10)
 
 
 # ------------------------------------------------- expectation Lipschitz check

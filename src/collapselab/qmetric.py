@@ -23,7 +23,7 @@ order, so every bit is kept.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -210,9 +210,6 @@ class DistanceResult:
     method: str
     converged: bool
     iterations: int = 0
-
-    def as_pair(self) -> Tuple[float, Optional[AlgebraElement]]:
-        return self.value, self.certificate
 
 
 def _check_certificate(model: SpectralTripleModel, cert: AlgebraElement) -> None:
@@ -683,11 +680,13 @@ def quantum_diameter(model: SpectralTripleModel, samples: int = 12,
     """Diameter of the state space in the Dirac metric.
 
     Distances are convex in each state argument, so the diameter is attained
-    at pure states.  Graph models enumerate vertex states: exact transport
-    for edge-pair Diracs, else the oracle (scan resolution 32) or, beyond
-    its parameter cap, the 400-step ascent.  Models without graph structure
-    are sampled with `samples` pairs of Haar-random rank-one states drawn
-    from `seed`, and the result is a lower bound.
+    at pure states.  A seminorm that vanishes off the scalars, as on each
+    component's indicator of a disconnected graph, gives math.inf with
+    method "degenerate".  Graph models enumerate vertex states: exact
+    transport for edge-pair Diracs, else the oracle (scan resolution 32) or,
+    beyond its parameter cap, the 400-step ascent.  Models without graph
+    structure are sampled with `samples` pairs of Haar-random rank-one
+    states drawn from `seed`, and the result is a lower bound.
     """
     check_dense_limit(model)
     span = _HermitianSpan(model)
@@ -701,9 +700,8 @@ def quantum_diameter(model: SpectralTripleModel, samples: int = 12,
     if structure is not None and hasattr(structure, "vertex_slots"):
         n = structure.n_vertices
         if getattr(structure, "kind", None) == "edge_pair":
+            # all finite: a disconnected graph returned "degenerate" above
             lengths = structure.path_lengths()
-            if not np.all(np.isfinite(lengths)):
-                return DiameterReport(math.inf, None, "vertex-enumeration", True)
             i, j = np.unravel_index(np.argmax(lengths), lengths.shape)
             return DiameterReport(float(lengths[i, j]), (int(i), int(j)),
                                   "vertex-enumeration", False)

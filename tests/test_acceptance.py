@@ -27,7 +27,6 @@ from collapselab.collapse import (
     DEFAULT_EPS_GRID,
     kernel_projection,
     projector_rank,
-    rescale,
     sweep,
     track_convergence_report,
     unitary_restriction_check,
@@ -204,7 +203,7 @@ def test_criterion_05_point_collapse(criterion, loaded, audits_1000):
         dec = loaded("point_collapse_c4").decomposition
         assert projector_rank(kernel_projection(dec.d_v)) == 2
         for eps in DEFAULT_EPS_GRID:
-            vals = np.linalg.eigvalsh(_dense_of(rescale(dec, eps)))
+            vals = np.linalg.eigvalsh(_dense_of(dec.dirac_at(eps)))
             inside = vals[np.abs(vals) <= 1.0]
             assert inside.shape[0] == 2
             assert np.max(np.abs(inside)) <= 1e-10 * max(1.0, 1.0 / eps)

@@ -360,6 +360,11 @@ MALFORMED_SPECS = {
     "boolean_matrix_entry": ("torus", {"g_base": 1, "g_fiber": 1,
                                        "theta": [[0.0, [False, 0.0]], [0.0, 0.0]],
                                        "cutoff": 1}),
+    # integers too large for a float: 341 digits
+    "huge_edge_weight": ("graph", {"edges": [[0, 1, 10 ** 340]]}),
+    "huge_matrix_entry": ("torus", {"g_base": 1, "g_fiber": 1,
+                                    "theta": [[0.0, [1, 10 ** 340]], [0.0, 0.0]],
+                                    "cutoff": 1}),
 }
 
 
@@ -383,12 +388,15 @@ MALFORMED_SPECS = {
     (["audit", "--model", "{circle_bundle}", "--seed", "-5"], EXIT_PARSE),
     (["distance", "--model", "{path3}", "--states", "vertex:0,vertex:2", "--oracle",
       "--seed", "-5"], EXIT_PARSE),
+    (["build", "--model", "{tmp}/huge_edge_weight.json"], EXIT_PARSE),
+    (["build", "--model", "{tmp}/huge_matrix_entry.json"], EXIT_PARSE),
 ], ids=["eps-not-a-number", "g_base-not-a-number", "vertex-out-of-range",
         "out-dir-missing", "density-file-missing", "negative-edge-endpoint",
         "inner-params-not-an-object", "int-given-a-fraction", "float-given-a-boolean",
         "negative-seed-in-file", "boolean-edge-endpoints", "boolean-edge-weight",
         "boolean-matrix-entry", "model-file-not-utf8", "negative-seed-flag-audit",
-        "negative-seed-flag-oracle"])
+        "negative-seed-flag-oracle", "edge-weight-too-large-for-a-float",
+        "matrix-entry-too-large-for-a-float"])
 def test_malformed_input_exit_codes(argv, code, tmp_path, capsys):
     for name, (builder, params, *seed) in MALFORMED_SPECS.items():
         spec = ModelSpecFile(1, builder, params, seed[0] if seed else 0)
@@ -402,6 +410,24 @@ def test_malformed_input_exit_codes(argv, code, tmp_path, capsys):
         rc = exc.code
     assert rc == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, literal, message", [
+    ("schema_version", "true", "schema_version True unsupported"),
+    ("schema_version", "1.0", "schema_version 1.0 unsupported"),
+    ("seed", "1" * 5000, "not valid JSON"),
+], ids=["schema-version-true", "schema-version-float", "seed-past-the-digit-limit"])
+def test_strict_integer_fields(field, literal, message, tmp_path, capsys):
+    # True == 1 and 1.0 == 1 in Python, but neither is the integer 1; an
+    # integer literal past Python's 4300-digit limit is no JSON number it reads
+    doc = {"schema_version": "1", "builder": '"graph"',
+           "params": '{"edges": [[0, 1, 1.0]]}', "seed": "0", field: literal}
+    path = tmp_path / "spec.json"
+    path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}")
+    assert main(["build", "--model", str(path)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("argv, message", [

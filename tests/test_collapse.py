@@ -24,11 +24,9 @@ from collapselab.cli_io import load_model
 from collapselab.collapse import (
     WindowError,
     compress_base,
-    conditional_expectation,
     hausdorff_window,
     kernel_projection,
     projector_rank,
-    rescale,
     sweep,
     track_convergence_report,
     unitary_restriction_check,
@@ -78,21 +76,21 @@ def _manual_split(d_h, d_v, sector_labels=None, gap=None):
 
 def test_rescale_identity_at_one():
     t = build_torus_triple(1, 1, np.zeros((2, 2)), 2)
-    r = rescale(t, 1.0)
+    r = t.dirac_at(1.0)
     assert np.array_equal(np.asarray(_raw(r)), np.asarray(_raw(t.total.dirac)))
 
 
 def test_rescale_diagonal_arithmetic():
     dec = _manual_split(np.diag([1.0, 1.0]), np.diag([0.0, 2.0]))
-    assert np.allclose(np.asarray(_raw(rescale(dec, 0.5))), np.diag([1.0, 5.0]))
+    assert np.allclose(np.asarray(_raw(dec.dirac_at(0.5))), np.diag([1.0, 5.0]))
     with pytest.raises(PreconditionError):
-        rescale(dec, 0.0)
+        dec.dirac_at(0.0)
 
 
 def test_rescale_four_torus_mode_eigenvalue():
     # mode with one base and one fiber unit: |eigenvalue| = sqrt(1 + 1/eps^2)
     t = build_torus_triple(2, 2, np.zeros((4, 4)), 1)
-    spec = hermitian_spectrum(rescale(t, 0.5))
+    spec = hermitian_spectrum(t.dirac_at(0.5))
     assert np.min(np.abs(spec - math.sqrt(5.0))) <= 1e-9
 
 
@@ -190,13 +188,13 @@ def test_conditional_expectation_sector_projection():
     c[names.index((1, 0))] = 1.5     # base monomial survives
     c[names.index((0, 1))] = 1.0     # pure fiber dies
     c[names.index((1, 1))] = -0.5    # mixed term dies
-    ea = conditional_expectation(t, t.total.element(c))
+    ea = t.conditional_expectation(t.total.element(c))
     want = np.zeros(len(names), dtype=complex)
     want[names.index((0, 0))] = 2.0
     want[names.index((1, 0))] = 1.5
     assert np.allclose(ea.coefficients, want, atol=1e-12)
     one = t.total.identity_element()
-    assert np.allclose(conditional_expectation(t, one).coefficients,
+    assert np.allclose(t.conditional_expectation(one).coefficients,
                        one.coefficients, atol=1e-12)
 
 
@@ -225,7 +223,7 @@ def test_sweep_single_point_grid():
     t = build_torus_triple(1, 1, np.zeros((2, 2)), 2)
     sw = sweep(t, eps_grid=[1.0])
     assert len(sw.hausdorff_curve) == 1
-    expect = hausdorff_window(hermitian_spectrum(rescale(t, 1.0)),
+    expect = hausdorff_window(hermitian_spectrum(t.dirac_at(1.0)),
                               sw.base_spectrum, sw.window)
     assert sw.hausdorff_curve[0] == pytest.approx(expect)
 

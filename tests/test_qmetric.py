@@ -121,6 +121,7 @@ def test_two_point_distance_is_inverse_coupling():
     for kappa in (0.5, 1.0, 2.0):
         m = build_two_point_model(kappa)
         res = connes_distance(m, vertex_state(m, 0), vertex_state(m, 1))
+        assert isinstance(res, DistanceResult)
         assert res.method == "exact-shortest-path"
         assert res.converged
         assert res.value == pytest.approx(1.0 / kappa, abs=1e-10)
@@ -630,6 +631,31 @@ def test_sampled_diameter_needs_a_sample(samples):
     assert quantum_diameter(path, samples=samples) == quantum_diameter(path)
 
 
+@pytest.mark.parametrize("components", [2, 3])
+def test_disconnected_edge_pair_graph_diameter_is_degenerate(components):
+    # the seminorm vanishes on each component's indicator, so the diameter
+    # stops at the nullity test and never enumerates infinite path lengths
+    m = build_graph_model([(2 * c, 2 * c + 1, 1.0) for c in range(components)])
+    assert m.structure.kind == "edge_pair"
+    assert qmetric._seminorm_nullity(qmetric._HermitianSpan(m)) == components
+    assert quantum_diameter(m) == qmetric.DiameterReport(math.inf, None, "degenerate", True)
+
+
+def test_adjacency_diameter_past_the_oracle_cap_takes_the_ascent():
+    # cycle_adjacency(6) has 5 free parameters, one past ORACLE_MAX_PARAMS
+    m = build_cycle_adjacency_model(6)
+    span = qmetric._HermitianSpan(m)
+    assert span.reduced_directions().shape[1] == qmetric.ORACLE_MAX_PARAMS + 1
+    rep = quantum_diameter(m)
+    assert rep.method == "vertex-ascent" and not rep.degenerate
+    assert rep.pair == (1, 4)
+    ascents = {(i, j): connes_distance(m, vertex_state(m, i), vertex_state(m, j),
+                                       iterations=400).value
+               for i in range(6) for j in range(i + 1, 6)}
+    assert rep.value == ascents[1, 4]
+    assert max(ascents.values()) == rep.value
+
+
 def test_degenerate_metric_has_infinite_diameter():
     deg = SpectralTripleModel(2, (EYE2, SZ), HermitianOperator(2, SZ), "deg")
     rep = quantum_diameter(deg)
@@ -747,14 +773,6 @@ def test_distance_solvers_refuse_models_beyond_dense_limit(monkeypatch):
             solve()
     monkeypatch.setattr(qmetric, "DENSE_LIMIT", 2)   # the dimension itself passes
     assert connes_distance(m, phi, psi).value == pytest.approx(1.0, abs=1e-10)
-
-
-def test_distance_result_pair_view():
-    m = build_two_point_model(1.0)
-    res = connes_distance(m, vertex_state(m, 0), vertex_state(m, 1))
-    value, cert = res.as_pair()
-    assert value == res.value and cert is res.certificate
-    assert isinstance(res, DistanceResult)
 
 
 def test_certificate_check_holds_under_optimize_flag():

@@ -29,10 +29,22 @@ checks that every distance it wrote is nonzero, except on fixtures whose
 algebra is the scalars, and exits 1 if one is not.
 
 The runs go one at a time; the whole matrix takes a few minutes.
+
+A last-bit change shows in ``diff -r`` only as bytes.  The compare mode
+reports it as numbers instead, per file that differs between two trees:
+
+    python3 tools/cli_matrix.py --compare /tmp/matrix-a /tmp/matrix-b
+
+It prints, for a CSV table or JSON document that differs only in numbers,
+the largest absolute and relative change of any cell or number and the
+column or key where each occurs (relative to the value in the first tree),
+"bytes differ" for any other difference, and the files found in one tree
+only.  It exits 0 when the trees are byte-identical, else 1.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -138,9 +150,125 @@ def run_matrix(outdir: Path) -> int:
     return 0
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_changes(a, b, key: str, changes: list) -> bool:
+    """Append (key, old, new) for every number that differs between two
+    JSON values; False when they differ in anything but numbers."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(
+            _json_changes(a[k], b[k], f"{key}.{k}" if key else k, changes)
+            for k in sorted(a))
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(
+            _json_changes(x, y, f"{key}[{i}]", changes)
+            for i, (x, y) in enumerate(zip(a, b)))
+    if _is_number(a) and _is_number(b):
+        _add_change(key, float(a), float(b), changes)
+        return True
+    return type(a) is type(b) and a == b       # true is not 1
+
+
+def _csv_changes(a: str, b: str, changes: list) -> bool:
+    """Append (column, old, new) for every cell that differs between two
+    CSV tables; False when they differ in anything but numeric cells."""
+    rows_a = [row.split(",") for row in a.splitlines()]
+    rows_b = [row.split(",") for row in b.splitlines()]
+    if len(rows_a) != len(rows_b) or not rows_a or rows_a[0] != rows_b[0]:
+        return False
+    header = rows_a[0]
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        if len(row_a) != len(header) or len(row_b) != len(header):
+            return False
+        for column, x, y in zip(header, row_a, row_b):
+            if x == y:
+                continue
+            try:
+                _add_change(column, float(x), float(y), changes)
+            except ValueError:
+                return False
+    return True
+
+
+def _add_change(where: str, old: float, new: float, changes: list) -> None:
+    """Record a number that changed value; a new spelling of the same
+    value (or NaN for NaN) is no numeric change."""
+    if old != new and not (math.isnan(old) and math.isnan(new)):
+        changes.append((where, old, new))
+
+
+def numeric_changes(path: Path, a: bytes, b: bytes):
+    """(where, old, new) for each number that differs between two versions
+    of one artifact, or None when they differ otherwise or are neither CSV
+    nor JSON."""
+    changes = []
+    try:
+        text_a, text_b = a.decode(), b.decode()
+        if path.suffix == ".csv":
+            same_shape = _csv_changes(text_a, text_b, changes)
+        elif path.suffix == ".json":
+            same_shape = _json_changes(json.loads(text_a), json.loads(text_b), "", changes)
+        else:
+            return None
+    except ValueError:       # not UTF-8, or not JSON
+        return None
+    return changes if same_shape and changes else None   # no change: spelling
+
+
+def _largest(changes: list, measure) -> str:
+    where, old, new = max(changes, key=lambda c: measure(c[1], c[2]))
+    return f"{measure(old, new):.3g} at {where}"
+
+
+def _abs_change(old: float, new: float) -> float:
+    d = abs(new - old)
+    return math.inf if math.isnan(d) else d
+
+
+def _rel_change(old: float, new: float) -> float:
+    d = _abs_change(old, new)
+    r = d / abs(old) if old else math.inf
+    return math.inf if math.isnan(r) else r
+
+
+def compare_trees(a: Path, b: Path) -> int:
+    """Print every difference between two matrix trees; 0 when there is none."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    lines = [f"only in {a}: {p}" for p in sorted(files_a - files_b)]
+    lines += [f"only in {b}: {p}" for p in sorted(files_b - files_a)]
+    for rel in sorted(files_a & files_b):
+        old, new = (a / rel).read_bytes(), (b / rel).read_bytes()
+        if old == new:
+            continue
+        changes = numeric_changes(rel, old, new)
+        if changes is None:
+            lines.append(f"{rel}: bytes differ")
+        else:
+            lines.append(f"{rel}: {len(changes)} changed, largest absolute change "
+                         f"{_largest(changes, _abs_change)}, largest relative change "
+                         f"{_largest(changes, _rel_change)}")
+    for line in lines:
+        print(line)
+    if not lines:
+        print(f"no change: {len(files_a)} files byte-identical")
+    return 1 if lines else 0
+
+
 def main(argv: list) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        trees = [Path(arg) for arg in argv[1:]]
+        missing = [str(t) for t in trees if not t.is_dir()]
+        if missing:
+            print(f"not a directory: {', '.join(missing)}", file=sys.stderr)
+            return 2
+        return compare_trees(*trees)
     if len(argv) != 1:
-        print("usage: python3 tools/cli_matrix.py OUTDIR", file=sys.stderr)
+        print("usage: python3 tools/cli_matrix.py OUTDIR\n"
+              "       python3 tools/cli_matrix.py --compare TREE_A TREE_B",
+              file=sys.stderr)
         return 2
     return run_matrix(Path(argv[0]).resolve())
 
