@@ -27,6 +27,7 @@ from .core import (
     SpectralTripleModel,
     _dense,
     _max_abs,
+    _spectral_kernel,
     _sum,
     _view,
     commutator,
@@ -340,17 +341,6 @@ class DecomposedTripleModel:
             raise PreconditionError("kernel index set is empty")
         if _column_norm(dv, ker) > 1e-9 * scale:
             raise PreconditionError("kernel indices do not annihilate d_v")
-
-
-def _spectral_kernel(spectrum: np.ndarray) -> Tuple[np.ndarray, float, float]:
-    """Kernel mask |lambda| <= 1e-9 * scale of a spectrum, its least nonzero
-    |lambda| (math.inf when every eigenvalue is in the kernel), and the scale
-    max(1, max |lambda|)."""
-    mod = np.abs(spectrum)
-    scale = max(1.0, float(np.max(mod)))
-    kernel = mod <= 1e-9 * scale
-    least = float(np.min(mod[~kernel])) if not kernel.all() else math.inf
-    return kernel, least, scale
 
 
 def _zero_eigenvector_indices(dv, gap: float) -> np.ndarray:

@@ -35,8 +35,9 @@ from .builders import (
     build_torus_triple,
 )
 from .collapse import WindowError, sweep
-from .estimates import hypothesis_audit
+from .estimates import AUDIT_MARGIN_TOL, AUDIT_SAMPLES, hypothesis_audit
 from .qmetric import (
+    ASCENT_ITERATIONS,
     StateFunctional,
     check_dense_limit,
     connes_distance,
@@ -52,13 +53,6 @@ EXIT_WINDOW = 4
 EXIT_AUDIT = 5
 
 SCHEMA_VERSION = 1
-
-#: builders reachable from a model file.  graph and cycle_adjacency extend
-#: the core set so distance fixtures ship in the same format.
-BUILDER_NAMES = (
-    "torus", "circle_bundle", "product", "crossed_product",
-    "point_collapse", "graph", "cycle_adjacency",
-)
 
 HAUSDORFF_PASS_TOL = 1e-9
 TRANSPORT_TOL = 1e-9
@@ -103,7 +97,7 @@ def _jsonable(obj):
 def _is_int(value) -> bool:
     """A JSON integer: booleans, which Python counts as ints, and integral
     floats such as 1.0 are not.  Seeds, edge endpoints and schema_version
-    are read this strictly; builder parameters go through _number."""
+    are read this strictly; builder parameters go through _int and _float."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -200,18 +194,9 @@ def parse_model_spec(text: str) -> ModelSpecFile:
     if not _is_int(version) or version != SCHEMA_VERSION:
         raise SchemaError(
             f"schema_version {version!r} unsupported (expected {SCHEMA_VERSION})")
-    return _spec(doc["builder"], doc["params"], doc["seed"], "")
-
-
-def _spec(builder, params, seed, where: str) -> ModelSpecFile:
-    """A spec at SCHEMA_VERSION, checked in this order: the builder is
-    known, params is an object, the seed is a run seed.  where names a
-    nested spec in the unknown-builder message."""
-    if builder not in BUILDER_NAMES:
-        raise SchemaError(f"unknown builder {builder!r}{where}")
-    if not isinstance(params, dict):
-        raise SchemaError("params must be an object")
-    return ModelSpecFile(SCHEMA_VERSION, builder, params, _seed(seed, "seed"))
+    _declaration(doc["builder"], doc["params"], "")
+    return ModelSpecFile(SCHEMA_VERSION, doc["builder"], doc["params"],
+                         _seed(doc["seed"], "seed"))
 
 
 def _seed(value, name: str) -> int:
@@ -221,65 +206,52 @@ def _seed(value, name: str) -> int:
     return value
 
 
-def _param(params: dict, name: str, required: bool = True, default=None):
-    if name in params:
-        return params[name]
-    if required:
-        raise SchemaError(f"missing builder parameter {name!r}")
-    return default
+def _number(kind):
+    """The reader of a kind (int or float) number: a malformed number, a
+    boolean, or a fraction given for an int is a schema error, never
+    truncated."""
+    def read(value, name: str):
+        try:
+            if isinstance(value, bool) or (
+                    kind is int and isinstance(value, float) and not value.is_integer()):
+                raise ValueError(value)
+            return kind(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"{name} must be {kind.__name__}, got {value!r}") from exc
+    return read
 
 
-def _number(value, kind, name: str):
-    """kind(value) (int or float); a malformed number, a boolean, or a
-    fraction given for an int is a schema error, never truncated."""
-    try:
-        if isinstance(value, bool) or (
-                kind is int and isinstance(value, float) and not value.is_integer()):
-            raise ValueError(value)
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{name} must be {kind.__name__}, got {value!r}") from exc
+_int, _float = _number(int), _number(float)
 
 
-def _num(params: dict, name: str, kind, required: bool = True, default=None):
-    """A numeric builder parameter; an absent optional one gives default."""
-    value = _param(params, name, required, default)
-    return value if value is None else _number(value, kind, name)
+def _text(value, name: str) -> str:
+    return str(value)
 
 
-def _floats(params: dict, name: str, required: bool = True):
-    """A list-of-floats builder parameter, or None when an optional one is absent."""
-    values = _param(params, name, required)
-    if values is None:
-        return None
+def _as_is(value, name: str):
+    return value
+
+
+def _floats(values, name: str) -> list:
     if not isinstance(values, list):
         raise SchemaError(f"{name} must be a list of numbers")
-    return [_number(v, float, name) for v in values]
+    return [_float(v, name) for v in values]
 
 
-def _inline_triple(obj, name: str) -> SpectralTripleModel:
-    """A raw spectral triple given by matrices; used for the even/base
-    factor of product and crossed-product files."""
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{name} must be an object")
-    dirac = _matrix_from_json(_param(obj, "dirac"), f"{name}.dirac")
-    basis_obj = _param(obj, "basis")
-    if not isinstance(basis_obj, list) or not basis_obj:
-        raise SchemaError(f"{name}.basis must be a nonempty list")
-    basis = tuple(_matrix_from_json(b, f"{name}.basis[{i}]")
-                  for i, b in enumerate(basis_obj))
-    grading = None
-    if obj.get("grading") is not None:
-        grading = _matrix_from_json(obj["grading"], f"{name}.grading")
-    return SpectralTripleModel(
-        hilbert_dim=dirac.shape[0], algebra_basis=basis, dirac=dirac,
-        label=str(obj.get("label", name)), grading=grading)
+def _real_matrix(obj, name: str) -> np.ndarray:
+    return _matrix_from_json(obj, name).real
 
 
-def _edges_from_json(obj) -> list:
+def _basis(obj, name: str) -> tuple:
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError(f"{name} must be a nonempty list")
+    return tuple(_matrix_from_json(b, f"{name}[{i}]") for i, b in enumerate(obj))
+
+
+def _edges_from_json(obj, name: str) -> list:
     """[i, j, weight] triples: integer endpoints, a number or [re, im] weight."""
     if not isinstance(obj, list) or not obj:
-        raise SchemaError("edges must be a nonempty list of [i, j, weight]")
+        raise SchemaError(f"{name} must be a nonempty list of [i, j, weight]")
     edges = []
     for entry in obj:
         if not isinstance(entry, list) or len(entry) != 3:
@@ -291,32 +263,59 @@ def _edges_from_json(obj) -> list:
     return edges
 
 
-def _state(model: SpectralTripleModel, kind: str, value, name: str) -> StateFunctional:
-    """The state of one kind: "vertex" and "pure" take an index, "density"
-    the rows of a matrix.  name labels value in error messages."""
-    if kind == "vertex":
-        return vertex_state(model, _number(value, int, name))
-    if kind == "pure":
-        return pure_state(model.hilbert_dim, _number(value, int, name))
-    return StateFunctional(_matrix_from_json(value, name))
+def _read_keys(obj, required: dict, optional: dict, name: str) -> dict:
+    """The keys of the JSON object obj, each read by the reader its
+    declaration gives: a function of the key's value and of the name
+    messages give it, name.key (key alone when name is empty).  A required
+    key that is absent or null is missing; an optional one is left out, so
+    the callee's own default applies; any undeclared key is a schema error."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{name} must be an object")
+    path = f"{name}." if name else ""
+    unknown = sorted(obj.keys() - required.keys() - optional.keys())
+    if unknown:
+        raise SchemaError(f"unknown keys: {[path + key for key in unknown]}")
+    read = {}
+    for key, reader in {**required, **optional}.items():
+        if obj.get(key) is not None:
+            read[key] = reader(obj[key], path + key)
+        elif key in required:
+            raise SchemaError(f"missing key {path + key!r}")
+    return read
+
+
+def _inline_triple(obj, name: str) -> SpectralTripleModel:
+    """A raw spectral triple given by matrices; used for the even/base
+    factor of product and crossed-product files."""
+    keys = _read_keys(obj, {"dirac": _matrix_from_json, "basis": _basis},
+                      {"grading": _matrix_from_json, "label": _text}, name)
+    return SpectralTripleModel(hilbert_dim=keys["dirac"].shape[0],
+                               algebra_basis=keys.pop("basis"), **keys)
+
+
+#: each kind of state, by its key in a model file's state: the reader of its
+#: value, then the state of a model that the value read names
+STATES = {"vertex": (_int, vertex_state),
+          "pure_index": (_int, lambda model, i: pure_state(model.hilbert_dim, i)),
+          "density": (_matrix_from_json, lambda model, rows: StateFunctional(rows))}
 
 
 def _state_from_json(model: SpectralTripleModel, obj) -> StateFunctional:
-    """A model file's state: {"vertex": i}, {"pure_index": i} or
-    {"density": rows}; the first key present, in that order, counts."""
-    for kind, key, name in (("vertex", "vertex", "vertex"),
-                            ("pure", "pure_index", "pure_index"),
-                            ("density", "density", "state.density")):
-        if isinstance(obj, dict) and key in obj:
-            return _state(model, kind, obj[key], name)
-    raise SchemaError("state must carry one of: vertex, pure_index, density")
+    """A model file's state: exactly one of {"vertex": i}, {"pure_index": i}
+    and {"density": rows}, and no other key."""
+    if not isinstance(obj, dict) or sum(obj.get(k) is not None for k in STATES) != 1:
+        raise SchemaError("state must carry one of: vertex, pure_index, density")
+    readers = {key: reader for key, (reader, _) in STATES.items()}
+    (key, value), = _read_keys(obj, {}, readers, "state").items()
+    return STATES[key][1](model, value)
 
 
 def _state_from_token(model: SpectralTripleModel, token: str) -> StateFunctional:
     """A --states token: vertex:<i>, pure:<i> or density:<file>, the file
     holding the density's rows as JSON."""
     kind, _, arg = token.partition(":")
-    if kind not in ("vertex", "pure", "density") or not arg:
+    key = {"vertex": "vertex", "pure": "pure_index", "density": "density"}.get(kind)
+    if key is None or not arg:
         raise SchemaError(
             f"bad state {token!r}: use vertex:<i>, pure:<i>, or density:<file>")
     if kind == "density":
@@ -325,75 +324,79 @@ def _state_from_token(model: SpectralTripleModel, token: str) -> StateFunctional
                 arg = json.load(handle)
         except (OSError, ValueError) as exc:
             raise SchemaError(f"cannot read density file {arg!r}: {exc}") from exc
-    return _state(model, kind, arg, kind)
+    reader, state = STATES[key]
+    return state(model, reader(arg, kind))
 
 
-def _build_from_spec(spec: ModelSpecFile):
-    """Instantiate the named builder, one of BUILDER_NAMES (_spec checks
-    it).  Parameter-name errors are schema errors; value errors surface as
-    PreconditionError from the builders.  Every builder takes the optional
-    label parameter."""
-    p = spec.params
-    label = str(_param(p, "label", required=False, default=""))
-    if spec.builder == "torus":
-        return build_torus_triple(
-            g_base=_num(p, "g_base", int),
-            g_fiber=_num(p, "g_fiber", int),
-            theta=_matrix_from_json(_param(p, "theta"), "theta").real,
-            cutoff=_num(p, "cutoff", int),
-            weights=_floats(p, "weights", required=False),
-            monomial_cap=_num(p, "monomial_cap", int, required=False, default=1),
-            materialize=str(_param(p, "materialize", required=False,
-                                   default="auto")),
-            label=label)
-    if spec.builder == "circle_bundle":
-        family = build_circle_bundle_blocks(
-            base_eigenvalues=_floats(p, "base_eigenvalues"),
-            fiber_length_scale=_num(p, "fiber_length_scale", float),
-            k_min=_num(p, "k_min", int), k_max=_num(p, "k_max", int))
-        return family.as_decomposition(label=label)
-    if spec.builder == "product":
-        even = _inline_triple(_param(p, "even"), "even")
-        vertical = _matrix_from_json(_param(p, "vertical"), "vertical")
-        return build_product_triple(even, vertical, label=label)
-    if spec.builder == "crossed_product":
-        base = _inline_triple(_param(p, "base"), "base")
-        phases = _param(p, "phases", required=False)
-        if phases is not None:
-            phases = _matrix_from_json(phases, "phases").real
-        return build_crossed_product_model(
-            base, _num(p, "d", int), _num(p, "cutoff", int),
-            phases=phases,
-            vertical_defect=_num(p, "vertical_defect", float,
-                                 required=False, default=0.0),
-            label=label)
-    if spec.builder == "point_collapse":
-        inner_obj = _param(p, "model")
-        if not isinstance(inner_obj, dict):
-            raise SchemaError("point_collapse model must be an object")
-        inner = _build_from_spec(_spec(
-            str(inner_obj.get("builder", "")), inner_obj.get("params", {}),
-            spec.seed, " for point_collapse model"))
-        if not isinstance(inner, SpectralTripleModel):
-            raise SchemaError("point_collapse model must be a plain triple")
-        state = _state_from_json(inner, _param(p, "state"))
-        return build_point_collapse(inner, state, label=label)
-    if spec.builder == "graph":
-        return build_graph_model(
-            _edges_from_json(_param(p, "edges")),
-            n_vertices=_num(p, "n_vertices", int, required=False),
-            label=label)
-    if spec.builder == "cycle_adjacency":
-        return build_cycle_adjacency_model(
-            _num(p, "n", int),
-            weight=_num(p, "weight", float, required=False, default=1.0),
-            label=label)
+def _circle_bundle(**params):
+    """The circle-bundle block family as a decomposed model."""
+    label = {"label": params.pop("label")} if "label" in params else {}
+    return build_circle_bundle_blocks(**params).as_decomposition(**label)
+
+
+def _point_collapse(model, state, **label):
+    """The point collapse of model, a nested builder and params that give a
+    plain triple, onto a state of that triple."""
+    spec = _read_keys(model, {"builder": _as_is, "params": _as_is}, {}, "model")
+    inner = _build(spec["builder"], spec["params"], " for point_collapse model")
+    if not isinstance(inner, SpectralTripleModel):
+        raise SchemaError("point_collapse model must be a plain triple")
+    return build_point_collapse(inner, _state_from_json(inner, state), **label)
+
+
+#: each builder a model file can name: the function its params go to, then
+#: its required and its optional keys, each with its reader, in the order
+#: they are read.  An optional key that is absent or null is not passed, so
+#: the function's own default applies.  graph and cycle_adjacency extend the
+#: core set so distance fixtures ship in the same format.
+BUILDERS = {
+    "torus": (build_torus_triple,
+              {"g_base": _int, "g_fiber": _int, "theta": _real_matrix, "cutoff": _int},
+              {"weights": _floats, "monomial_cap": _int, "materialize": _text,
+               "label": _text}),
+    "circle_bundle": (_circle_bundle,
+                      {"base_eigenvalues": _floats, "fiber_length_scale": _float,
+                       "k_min": _int, "k_max": _int},
+                      {"label": _text}),
+    "product": (build_product_triple,
+                {"even": _inline_triple, "vertical": _matrix_from_json},
+                {"label": _text}),
+    "crossed_product": (build_crossed_product_model,
+                        {"base": _inline_triple, "d": _int, "cutoff": _int},
+                        {"phases": _real_matrix, "vertical_defect": _float,
+                         "label": _text}),
+    "point_collapse": (_point_collapse,
+                       {"model": _as_is, "state": _as_is},
+                       {"label": _text}),
+    "graph": (build_graph_model,
+              {"edges": _edges_from_json},
+              {"n_vertices": _int, "label": _text}),
+    "cycle_adjacency": (build_cycle_adjacency_model,
+                        {"n": _int},
+                        {"weight": _float, "label": _text}),
+}
+
+
+def _declaration(builder, params, where: str):
+    """The BUILDERS entry of a known builder whose params is an object;
+    where names a nested spec in the unknown-builder message."""
+    if not isinstance(builder, str) or builder not in BUILDERS:
+        raise SchemaError(f"unknown builder {builder!r}{where}")
+    if not isinstance(params, dict):
+        raise SchemaError("params must be an object")
+    return BUILDERS[builder]
+
+
+def _build(builder, params, where: str):
+    """The model a builder's params give.  Key errors are schema errors;
+    value errors surface as PreconditionError from the builders."""
+    build, required, optional = _declaration(builder, params, where)
+    return build(**_read_keys(params, required, optional, ""))
 
 
 @dataclass(frozen=True)
 class LoadedModel:
     spec: ModelSpecFile
-    path: str
     sha256: str
     decomposition: object          # DecomposedTripleModel or None
     model: SpectralTripleModel
@@ -407,13 +410,12 @@ def load_model(path: str) -> LoadedModel:
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read model file: {exc}") from exc
     spec = parse_model_spec(text)
-    built = _build_from_spec(spec)
+    built = _build(spec.builder, spec.params, "")
     if isinstance(built, SpectralTripleModel):
         dec, model = None, built
     else:
         dec, model = built, built.total
-    return LoadedModel(spec=spec, path=path,
-                       sha256=hashlib.sha256(data).hexdigest(),
+    return LoadedModel(spec=spec, sha256=hashlib.sha256(data).hexdigest(),
                        decomposition=dec, model=model)
 
 
@@ -584,7 +586,7 @@ def _audit_doc(loaded: LoadedModel, report, seed: int) -> dict:
         "verdicts": [{"name": v.name, "passed": v.passed,
                       "worst_margin": v.worst_margin, "witness": v.witness}
                      for v in report.verdicts],
-        "tolerance_context": {"margin_pass": 1e-9, "float_format": ".17g"},
+        "tolerance_context": {"margin_pass": AUDIT_MARGIN_TOL, "float_format": ".17g"},
     }
 
 
@@ -629,50 +631,34 @@ def build_parser() -> argparse.ArgumentParser:
         prog="collapselab",
         description="Build, sweep, audit, and measure collapse models.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--model", required=True, help="model JSON file")
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the model file seed")
-
-    p = sub.add_parser("build", help="construct the model and report shape")
-    add_common(p)
-    p.set_defaults(handler=cmd_build)
-
-    p = sub.add_parser("spectrum", help="eigenvalues at one eps")
-    add_common(p)
-    p.add_argument("--eps", type=float, default=1.0, help="rescaling parameter")
-    p.set_defaults(handler=cmd_spectrum)
-
-    p = sub.add_parser("sweep", help="spectral sweep over an eps grid")
-    add_common(p)
-    p.add_argument("--eps-grid", default=None,
-                   help='comma list or "geometric:start:ratio:count"')
-    p.add_argument("--window", type=float, default=None,
-                   help="windowed comparison half-width")
-    p.set_defaults(handler=cmd_sweep)
-
-    p = sub.add_parser("distance", help="state distance table")
-    add_common(p)
-    p.add_argument("--states", required=True,
-                   help="two states: vertex:<i>, pure:<i>, or density:<file>")
-    p.add_argument("--oracle", action="store_true",
-                   help="use the brute-force oracle")
-    p.add_argument("--iterations", type=int, default=2000)
-    p.set_defaults(handler=cmd_distance)
-
-    p = sub.add_parser("audit", help="six-hypothesis audit")
-    add_common(p)
-    p.add_argument("--samples", type=int, default=200)
-    p.set_defaults(handler=cmd_audit)
-
-    p = sub.add_parser("report", help="combined report bundle")
-    add_common(p)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--eps-grid", default=None)
-    p.add_argument("--window", type=float, default=None)
-    p.set_defaults(handler=cmd_report)
+    # each option is declared once, in the option group of every command
+    # that takes it
+    common, sweeping, auditing, rescaling, measuring = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5))
+    common.add_argument("--model", required=True, help="model JSON file")
+    common.add_argument("--out", help="output file (default stdout)")
+    common.add_argument("--seed", type=int, help="override the model file seed")
+    sweeping.add_argument("--eps-grid",
+                          help='comma list or "geometric:start:ratio:count"')
+    sweeping.add_argument("--window", type=float, help="windowed comparison half-width")
+    auditing.add_argument("--samples", type=int, default=AUDIT_SAMPLES,
+                          help="random self-adjoint elements the audit draws")
+    rescaling.add_argument("--eps", type=float, default=1.0, help="rescaling parameter")
+    measuring.add_argument("--states", required=True,
+                           help="two states: vertex:<i>, pure:<i>, or density:<file>")
+    measuring.add_argument("--oracle", action="store_true",
+                           help="use the brute-force oracle")
+    measuring.add_argument("--iterations", type=int, default=ASCENT_ITERATIONS,
+                           help="projected ascent steps, split over its seeded starts")
+    for name, handler, groups, text in (
+            ("build", cmd_build, [], "construct the model and report shape"),
+            ("spectrum", cmd_spectrum, [rescaling], "eigenvalues at one eps"),
+            ("sweep", cmd_sweep, [sweeping], "spectral sweep over an eps grid"),
+            ("distance", cmd_distance, [measuring], "state distance table"),
+            ("audit", cmd_audit, [auditing], "six-hypothesis audit"),
+            ("report", cmd_report, [auditing, sweeping], "combined report bundle")):
+        sub.add_parser(name, parents=[common] + groups, help=text).set_defaults(
+            handler=handler)
     return parser
 
 

@@ -40,7 +40,7 @@ class WindowError(PreconditionError):
 
 
 def kernel_projection(d_v):
-    """Spectral projector onto the eigenvalues of d_v inside (-tol, tol),
+    """Spectral projector onto the eigenvalues of d_v with |lambda| <= tol,
     tol = 1e-9 * max(1, norm(d_v)).  The result has the same dense or block
     form as the input.
     """

@@ -427,30 +427,32 @@ def graph_norm(d: OperatorLike, xi: np.ndarray) -> float:
     return float(np.linalg.norm(xi) + np.linalg.norm(_apply(d, xi)))
 
 
-def _kernel_eigenvectors(op: OperatorLike, gap: float = None):
-    """Per block, the eigenvectors of a Hermitian operator with eigenvalue in
-    (-tol, tol), tol = 1e-9 * max(1, norm(op)), returned with the operator's
-    view.
+def _spectral_kernel(spectrum: np.ndarray) -> tuple:
+    """Kernel mask |lambda| <= 1e-9 * scale of a spectrum (of any shape), its
+    least nonzero |lambda| (inf when every eigenvalue is in the kernel), and
+    the scale max(1, max |lambda|): the one kernel-gap rule of the package."""
+    mod = np.abs(spectrum)
+    scale = max(1.0, float(np.max(mod)))
+    kernel = mod <= 1e-9 * scale
+    least = float(np.min(mod[~kernel])) if not kernel.all() else np.inf
+    return kernel, least, scale
 
-    When a gap is supplied, any eigenvalue with tol <= |lambda| < gap
-    raises: an eigenvalue inside the forbidden annulus means the kernel
-    cannot be classified reliably.
-    """
-    tol = 1e-9 * max(1.0, op_norm(op))
-    if gap is not None and gap <= tol:
-        raise PreconditionError("gap must exceed the kernel tolerance")
+
+def _kernel_eigenvectors(op: OperatorLike, gap: float = None):
+    """Per block, the eigenvectors of a Hermitian operator whose eigenvalues
+    _spectral_kernel puts in the kernel, from one stacked eigensolve of its
+    blocks, returned with the operator's view.  When a gap is supplied, a
+    least nonzero |lambda| below it raises: an eigenvalue inside the
+    forbidden annulus means the kernel cannot be classified reliably."""
     v = _view(op)
-    kept = []
-    for blk in v.full:
-        vals, vecs = np.linalg.eigh(blk)
-        if gap is not None:
-            bad = (np.abs(vals) >= tol) & (np.abs(vals) < gap)
-            if np.any(bad):
-                raise PreconditionError(
-                    f"spectral gap violated: eigenvalue {vals[bad][0]:.6g} "
-                    f"inside the annulus [{tol:.3g}, {gap:.6g})")
-        kept.append(vecs[:, np.abs(vals) < tol])
-    return v, kept
+    vals, vecs = np.linalg.eigh(v.full)
+    kernel, least, scale = _spectral_kernel(vals)
+    if gap is not None and gap <= 1e-9 * scale:
+        raise PreconditionError("gap must exceed the kernel tolerance")
+    if gap is not None and least < gap:
+        raise PreconditionError(f"spectral gap violated: |eigenvalue| {least:.6g} "
+                                f"inside the annulus ({1e-9 * scale:.3g}, {gap:.6g})")
+    return v, [vec[:, k] for vec, k in zip(vecs, kernel)]
 
 
 @dataclass(frozen=True)

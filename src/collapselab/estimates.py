@@ -49,8 +49,12 @@ __all__ = [
 
 DEFAULT_AUDIT_SEED = 0xC0FFEE
 
-#: the eps at which the audit tests hypotheses (1) and (2)
+#: the eps at which the audit tests hypotheses (1) and (2), the random
+#: self-adjoint elements it draws for them by default, and the largest
+#: margin at which hypotheses (1), (2) and (6) pass
 AUDIT_EPS = (1.0, 0.5, 0.25)
+AUDIT_SAMPLES = 200
+AUDIT_MARGIN_TOL = 1e-9
 
 
 # --------------------------------------------------------------- bump windows
@@ -237,9 +241,8 @@ class ExpectationReport:
 
     @property
     def passed(self) -> bool:
-        return (self.deviation_margin <= 1e-9
-                and self.horizontal_margin <= 1e-9
-                and self.compression_defect <= 1e-9)
+        return all(m <= AUDIT_MARGIN_TOL for m in (
+            self.deviation_margin, self.horizontal_margin, self.compression_defect))
 
 
 def expectation_lipschitz_check(dec, a: AlgebraElement, *, vertical: float = None,
@@ -349,7 +352,7 @@ def _audit_sample_margins(dec, rng, herm_basis, exact_vertical):
     return m1, m2, m6
 
 
-def hypothesis_audit(dec, samples: int = 200,
+def hypothesis_audit(dec, samples: int = AUDIT_SAMPLES,
                      seed: int = DEFAULT_AUDIT_SEED) -> AuditReport:
     """Audit the six structural hypotheses behind the collapse bounds on a
     decomposed model, with hypotheses (1) and (2) tested at each eps of
@@ -416,9 +419,9 @@ def hypothesis_audit(dec, samples: int = 200,
 
     verdicts = (
         HypothesisVerdict("hypothesis_1_horizontal_domination",
-                          worst1 <= 1e-9, worst1, wit1),
+                          worst1 <= AUDIT_MARGIN_TOL, worst1, wit1),
         HypothesisVerdict("hypothesis_2_vertical_comparison",
-                          worst2 <= 1e-9, worst2, wit2),
+                          worst2 <= AUDIT_MARGIN_TOL, worst2, wit2),
         HypothesisVerdict("hypothesis_3_vertical_commutes_with_base",
                           worst3 <= 1e-10, worst3, wit3),
         HypothesisVerdict("hypothesis_4_projection_compatibility",
@@ -427,7 +430,7 @@ def hypothesis_audit(dec, samples: int = 200,
                           ok5, float(nullity - 1),
                           f"seminorm kernel dimension {nullity}, spectral gap {gap5:.3e}"),
         HypothesisVerdict("hypothesis_6_expectation_bounds",
-                          worst6 <= 1e-9, worst6, wit6),
+                          worst6 <= AUDIT_MARGIN_TOL, worst6, wit6),
     )
     return AuditReport(model_label=dec.total.label, eps_list=AUDIT_EPS,
                        samples=samples, seed=seed, verdicts=verdicts)

@@ -51,9 +51,11 @@ CERTIFICATE_SLACK = 1e-9
 ORACLE_MAX_PARAMS = 4
 ORACLE_SEED = 7
 
-#: seeded restarts of the projected ascent, and its step size at t = 1
+#: seeded restarts of the projected ascent, its step size at t = 1, and its
+#: iterations by default
 ASCENT_STARTS = 4
 ASCENT_STEP_SCALE = 0.5
+ASCENT_ITERATIONS = 2000
 
 
 def check_dense_limit(model: SpectralTripleModel) -> None:
@@ -270,7 +272,7 @@ def _transport_distance(ground: np.ndarray, p: np.ndarray, q: np.ndarray):
 
 
 def connes_distance(model: SpectralTripleModel, phi: StateFunctional,
-                    psi: StateFunctional, iterations: int = 2000,
+                    psi: StateFunctional, iterations: int = ASCENT_ITERATIONS,
                     seed: int = 0) -> DistanceResult:
     """Distance between two states in the metric induced by the Dirac
     operator: the supremum of phi(a) - psi(a) over self-adjoint a with

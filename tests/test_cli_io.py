@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from collapselab.cli_io import (
+    BUILDERS,
     EXIT_AUDIT,
     EXIT_OK,
     EXIT_PARSE,
@@ -499,11 +500,125 @@ def test_point_collapse_state_forms(tmp_path):
     {"density": [[1.0, 0.0], [0.0]]},
     {"density": "identity"},
     {"spin": 0},
-], ids=["pure-index-word", "density-ragged", "density-not-rows", "no-known-key"])
+    {"vertex": 0, "density": [[1.0]]},
+    {"vertex": 0, "spin": 1},
+], ids=["pure-index-word", "density-ragged", "density-not-rows", "no-known-key",
+        "two-kinds", "extra-key"])
 def test_point_collapse_malformed_state(state, tmp_path, capsys):
     path = _point_collapse_spec(tmp_path / "bad.json", state)
     assert main(["build", "--model", path]) == EXIT_PARSE
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ------------------------------------------------ declared builder keys only
+
+#: small fixtures that, with point_collapse_c4's nested spec, name every builder
+SMALL_FIXTURES = ("torus_g1f1", "circle_bundle", "product_spin", "crossed_d1",
+                  "point_collapse_c4", "path3")
+
+
+def _small_params() -> dict:
+    """The params of one small spec per builder, nested specs included."""
+    specs = {}
+    for name in SMALL_FIXTURES:
+        doc = json.loads(Path(_fixture(name)).read_text())
+        specs.setdefault(doc["builder"], doc["params"])
+        inner = doc["params"].get("model")
+        if isinstance(inner, dict):
+            specs.setdefault(inner["builder"], inner["params"])
+    return specs
+
+
+def test_small_fixtures_name_every_builder():
+    assert _small_params().keys() == BUILDERS.keys()
+
+
+def _run_spec(tmp_path, capsys, builder, params, command="build"):
+    """main's exit code, stdout and stderr on a model file of builder and
+    params; stderr must carry no traceback."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"schema_version": 1, "builder": builder,
+                                "params": params, "seed": 0}))
+    rc = main([command, "--model", str(path)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return rc, captured.out, captured.err
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_undeclared_builder_key_is_rejected(builder, tmp_path, capsys):
+    # a misspelled optional key once built the model without it
+    params = dict(_small_params()[builder], wieght=2.0)
+    assert _run_spec(tmp_path, capsys, builder, params)[0] == EXIT_PARSE
+
+
+@pytest.mark.parametrize("builder, key", [
+    (builder, key) for builder, (_, required, _) in sorted(BUILDERS.items())
+    for key in required])
+def test_null_required_key_is_missing(builder, key, tmp_path, capsys):
+    params = dict(_small_params()[builder], **{key: None})
+    rc, _, err = _run_spec(tmp_path, capsys, builder, params)
+    assert rc == EXIT_PARSE and f"missing key '{key}'" in err
+
+
+@pytest.mark.parametrize("builder, key", [
+    (builder, key) for builder, (_, _, optional) in sorted(BUILDERS.items())
+    for key in optional])
+def test_null_optional_key_means_absent(builder, key, tmp_path, capsys):
+    absent = {k: v for k, v in _small_params()[builder].items() if k != key}
+    outputs = []
+    for params in (absent, dict(absent, **{key: None})):
+        for command in ("build", "spectrum"):
+            rc, out, _ = _run_spec(tmp_path, capsys, builder, params, command)
+            assert rc == EXIT_OK
+            doc = json.loads(out) if command == "build" else out
+            if command == "build":
+                del doc["metadata"]["model_sha256"]      # the files differ
+            outputs.append(doc)
+    assert outputs[:2] == outputs[2:]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda model: model.update(extra=1),
+    lambda model: model["params"].update(wieght=2.0),
+], ids=["spec-extra-key", "params-extra-key"])
+def test_point_collapse_nested_spec_undeclared_keys(edit, tmp_path, capsys):
+    params = json.loads(Path(_fixture("point_collapse_c4")).read_text())["params"]
+    edit(params["model"])
+    assert _run_spec(tmp_path, capsys, "point_collapse", params)[0] == EXIT_PARSE
+
+
+@pytest.mark.parametrize("edit", [
+    lambda even: even.update(extra=1),
+    lambda even: even.update(dirac=None),
+    lambda even: even.pop("basis"),
+], ids=["extra-key", "null-dirac", "no-basis"])
+def test_inline_triple_declared_keys(edit, tmp_path, capsys):
+    params = json.loads(Path(_fixture("product_spin")).read_text())["params"]
+    edit(params["even"])
+    assert _run_spec(tmp_path, capsys, "product", params)[0] == EXIT_PARSE
+
+
+def test_inline_triple_null_optional_keys_mean_absent(tmp_path, capsys):
+    params = json.loads(Path(_fixture("product_spin")).read_text())["params"]
+    absent = dict(params, even={k: v for k, v in params["even"].items()
+                                if k in ("dirac", "basis")})
+    null = dict(params, even=dict(absent["even"], grading=None, label=None))
+    assert (_run_spec(tmp_path, capsys, "product", absent, "spectrum")
+            == _run_spec(tmp_path, capsys, "product", null, "spectrum"))
+
+
+def test_report_help_documents_shared_options(capsys):
+    helps = {}
+    for command in ("sweep", "audit", "report"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        helps[command] = " ".join(capsys.readouterr().out.split())
+    for text in ('comma list or "geometric:start:ratio:count"',
+                 "windowed comparison half-width"):
+        assert text in helps["sweep"] and text in helps["report"]
+    assert "random self-adjoint elements" in helps["audit"]
+    assert "random self-adjoint elements" in helps["report"]
 
 
 # ------------------------------------------------- valid inputs, end to end
