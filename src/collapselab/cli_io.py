@@ -344,34 +344,36 @@ def _point_collapse(model, state, **label):
     return build_point_collapse(inner, _state_from_json(inner, state), **label)
 
 
-#: each builder a model file can name: the function its params go to, then
-#: its required and its optional keys, each with its reader, in the order
-#: they are read.  An optional key that is absent or null is not passed, so
-#: the function's own default applies.  graph and cycle_adjacency extend the
+#: each builder a model file can name: the name of the function its params
+#: go to, then its required and its optional keys, each with its reader, in
+#: the order they are read.  The function is looked up by name when a model
+#: is built, so a wrapper patched over it (a tracer, a test double) is the
+#: one called.  An optional key that is absent or null is not passed, so the
+#: function's own default applies.  graph and cycle_adjacency extend the
 #: core set so distance fixtures ship in the same format.
 BUILDERS = {
-    "torus": (build_torus_triple,
+    "torus": ("build_torus_triple",
               {"g_base": _int, "g_fiber": _int, "theta": _real_matrix, "cutoff": _int},
               {"weights": _floats, "monomial_cap": _int, "materialize": _text,
                "label": _text}),
-    "circle_bundle": (_circle_bundle,
+    "circle_bundle": ("_circle_bundle",
                       {"base_eigenvalues": _floats, "fiber_length_scale": _float,
                        "k_min": _int, "k_max": _int},
                       {"label": _text}),
-    "product": (build_product_triple,
+    "product": ("build_product_triple",
                 {"even": _inline_triple, "vertical": _matrix_from_json},
                 {"label": _text}),
-    "crossed_product": (build_crossed_product_model,
+    "crossed_product": ("build_crossed_product_model",
                         {"base": _inline_triple, "d": _int, "cutoff": _int},
                         {"phases": _real_matrix, "vertical_defect": _float,
                          "label": _text}),
-    "point_collapse": (_point_collapse,
+    "point_collapse": ("_point_collapse",
                        {"model": _as_is, "state": _as_is},
                        {"label": _text}),
-    "graph": (build_graph_model,
+    "graph": ("build_graph_model",
               {"edges": _edges_from_json},
               {"n_vertices": _int, "label": _text}),
-    "cycle_adjacency": (build_cycle_adjacency_model,
+    "cycle_adjacency": ("build_cycle_adjacency_model",
                         {"n": _int},
                         {"weight": _float, "label": _text}),
 }
@@ -391,7 +393,7 @@ def _build(builder, params, where: str):
     """The model a builder's params give.  Key errors are schema errors;
     value errors surface as PreconditionError from the builders."""
     build, required, optional = _declaration(builder, params, where)
-    return build(**_read_keys(params, required, optional, ""))
+    return globals()[build](**_read_keys(params, required, optional, ""))
 
 
 @dataclass(frozen=True)

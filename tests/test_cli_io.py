@@ -552,6 +552,24 @@ def test_undeclared_builder_key_is_rejected(builder, tmp_path, capsys):
     assert _run_spec(tmp_path, capsys, builder, params)[0] == EXIT_PARSE
 
 
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_builder_function_is_looked_up_when_called(builder, tmp_path, capsys,
+                                                   monkeypatch):
+    # a wrapper patched over the module's function (as the benchmark's
+    # tracer patches it) must see every build of its builder
+    import collapselab.cli_io as cli_io
+    name = BUILDERS[builder][0]
+    original, calls = getattr(cli_io, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli_io, name, spy)
+    assert _run_spec(tmp_path, capsys, builder, _small_params()[builder])[0] == EXIT_OK
+    assert calls == [name]
+
+
 @pytest.mark.parametrize("builder, key", [
     (builder, key) for builder, (_, required, _) in sorted(BUILDERS.items())
     for key in required])
